@@ -78,8 +78,9 @@ SOAK_ROUNDS ?= 6
 soak:
 	$(GO) run ./scripts/soak -rounds $(SOAK_ROUNDS)
 
-# soak-parallel soaks the supervised sharded executor: random worker
-# kills mid-shard, whole-campaign kills resumed from the per-shard
+# soak-parallel soaks the in-process sharded executor (lease workers in
+# one process): random worker kills mid-shard, each restarted under its
+# own lease owner, whole-campaign kills resumed from the per-shard
 # journals, and a poison-unit quarantine phase — all byte-checked
 # against the sequential baseline (see docs/campaigns.md).
 soak-parallel:

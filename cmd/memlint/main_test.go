@@ -186,6 +186,19 @@ func TestLoadFailureModes(t *testing.T) {
 	}
 }
 
+// TestNestedModuleSkipped pins that a directory with its own go.mod is
+// another module, skipped like vendor/ (as `go list ./...` skips it):
+// its deliberately broken package neither fails the load nor matches.
+func TestNestedModuleSkipped(t *testing.T) {
+	code, _, errs := runLint(t, "./nested/...")
+	if code != 2 {
+		t.Errorf("nested-module pattern: exit = %d, want 2", code)
+	}
+	if !strings.Contains(errs, "no packages match") {
+		t.Errorf("nested-module pattern: stderr missing diagnostic:\n%s", errs)
+	}
+}
+
 // TestListChecks pins the -list inventory.
 func TestListChecks(t *testing.T) {
 	code, out, _ := runLint(t, "-list")

@@ -14,7 +14,7 @@
 //	paperfigs -out results/    # write all artifacts as files (CSV/JSON/txt)
 //	paperfigs -table 2 -replications 10   # Table II as mean ± 95% CI over 10 seeds
 //	paperfigs -workers 8 -shards run.shards -out results/
-//	                           # supervised sharded executor (docs/campaigns.md)
+//	                           # in-process sharded executor (docs/campaigns.md)
 //	paperfigs -workers remote -shards run/ -out results/
 //	                           # finalize a memworker fleet's remote campaign
 //
@@ -24,9 +24,9 @@
 // exits immediately), and re-running the same command resumes where it
 // died with bit-identical artifacts (files under -out are also written
 // atomically and durably). With -shards the run instead journals into
-// per-worker shard journals under the given directory, supervised by a
-// restarting worker pool with poison-unit quarantine — the same resume
-// and byte-identity guarantees, but parallel (see docs/campaigns.md).
+// per-shard journals under the given directory, run by a pool of lease
+// workers with poison-unit quarantine — the same resume and
+// byte-identity guarantees, but parallel (see docs/campaigns.md).
 package main
 
 import (
@@ -73,7 +73,7 @@ func main() {
 	var workersFlag string
 	flag.StringVar(&workersFlag, "workers", "0", `parallel evaluations (0: GOMAXPROCS), or "remote": finalize a lease-coordinated multi-process campaign in -shards (docs/campaigns.md)`)
 	flag.IntVar(&o.replications, "replications", 1, "Monte-Carlo replication sweep: evaluate this many consecutive seeds and report Table II errors as mean ± 95% CI")
-	flag.StringVar(&o.shards, "shards", "", "run the evaluations on the supervised sharded executor, journaling per-worker shards into this directory (crash-safe, resumable; see docs/campaigns.md)")
+	flag.StringVar(&o.shards, "shards", "", "run the evaluations on the in-process sharded executor, journaling per-shard journals into this directory (crash-safe, resumable; see docs/campaigns.md)")
 	flag.BoolVar(&o.ascii, "plot", false, "render figures as ASCII charts instead of CSV")
 	var cli obs.CLI
 	cli.Register(flag.CommandLine, false)
@@ -214,7 +214,7 @@ func dispatch(ctx context.Context, w io.Writer, o options, j *checkpoint.Journal
 	}
 }
 
-// evaluate runs the needed platform evaluations — on the supervised
+// evaluate runs the needed platform evaluations — on the in-process
 // sharded executor when -shards names a journal directory, on the plain
 // parallel sweep otherwise — plus the replication sweep when asked.
 func evaluate(ctx context.Context, o options, j *checkpoint.Journal, reg *obs.Registry, names []string) ([]*eval.PlatformResult, *campaign.ReplicationSummary, error) {

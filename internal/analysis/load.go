@@ -82,9 +82,10 @@ func modulePath(gomod string) (string, error) {
 }
 
 // moduleDirs lists every directory under root holding non-test .go
-// files, skipping hidden directories, testdata trees and vendor trees
+// files, skipping hidden directories, testdata trees, vendor trees
 // (vendored code is third-party: not ours to lint, and its import paths
-// do not live under the module path).
+// do not live under the module path) and nested modules (a directory
+// with its own go.mod is another module, as `go list ./...` treats it).
 func moduleDirs(root string) ([]string, error) {
 	var dirs []string
 	err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
@@ -96,6 +97,9 @@ func moduleDirs(root string) ([]string, error) {
 		}
 		name := d.Name()
 		if path != root && (strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") || name == "testdata" || name == "vendor") {
+			return filepath.SkipDir
+		}
+		if _, err := os.Stat(filepath.Join(path, "go.mod")); path != root && err == nil {
 			return filepath.SkipDir
 		}
 		if hasGoFiles(path) {

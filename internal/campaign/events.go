@@ -17,7 +17,7 @@ import (
 // This file is the campaign event journal: an append-only, CRC32-framed
 // JSONL stream of fleet-level events (worker join/drain, lease claims,
 // fences, orphan takeovers, shard completions, unit quarantines). Every
-// writer — one memworker process, or the in-process sharded supervisor —
+// writer — one memworker process, or the in-process sharded pool —
 // appends to its own file under <campaign-dir>/events/, so no two
 // processes ever interleave writes, and readers union all files into one
 // deterministic timeline: events sort by (time, worker, sequence), which
@@ -64,7 +64,7 @@ const (
 	// EventShardComplete: the worker holding the shard journaled its
 	// last pending unit.
 	EventShardComplete EventType = "shard-complete"
-	// EventUnitQuarantine: the in-process supervisor quarantined a
+	// EventUnitQuarantine: the in-process pool quarantined a
 	// poison unit (Key carries the unit key, Detail the error).
 	EventUnitQuarantine EventType = "unit-quarantine"
 )

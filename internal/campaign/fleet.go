@@ -3,12 +3,10 @@ package campaign
 import (
 	"fmt"
 	"io"
-	"os"
 	"path/filepath"
 	"strings"
 	"time"
 
-	"memcontention/internal/checkpoint"
 	"memcontention/internal/lease"
 	"memcontention/internal/obs"
 )
@@ -137,35 +135,18 @@ func CollectFleet(o FleetOptions) (*FleetReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	quarKeys := make(map[string]bool, len(quar))
-	for _, q := range quar {
-		quarKeys[q.Key] = true
-	}
+	prog := tally(units, man.Shards, done, quar)
 
 	now := o.Clock()
 	rep := &FleetReport{
 		Dir:               o.Dir,
 		GeneratedUnixNano: now.UnixNano(),
 		Manifest:          man,
-		Units:             len(units),
-		Shards:            make([]ShardProgress, man.Shards),
-	}
-	for i := range rep.Shards {
-		rep.Shards[i].Shard = i
-	}
-	for _, u := range units {
-		sp := &rep.Shards[homeShard(u.Key, man.Shards)]
-		switch {
-		case done[u.Key]:
-			sp.Done++
-			rep.Done++
-		case quarKeys[u.Key]:
-			sp.Quarantined++
-			rep.Quarantined++
-		default:
-			sp.Pending++
-			rep.Pending++
-		}
+		Units:             prog.Units,
+		Done:              prog.Done,
+		Pending:           prog.Units - prog.Done - prog.Quarantined,
+		Quarantined:       prog.Quarantined,
+		Shards:            prog.Shards,
 	}
 
 	beacons, err := ReadBeacons(o.Dir)
@@ -233,34 +214,6 @@ var eventTypeOrder = []EventType{
 	EventLeaseFence,
 	EventShardComplete,
 	EventUnitQuarantine,
-}
-
-// journaledKeys unions the unit keys of every shard journal file in dir
-// (all epochs, dead ones included), read tolerantly and without
-// creating anything — the monitor's replica of the pendingUnits scan.
-func journaledKeys(dir string) (map[string]bool, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, fmt.Errorf("campaign: fleet scan %s: %w", dir, err)
-	}
-	var paths []string
-	for _, e := range entries {
-		if e.IsDir() {
-			continue
-		}
-		if _, _, ok := checkpoint.ParseShardFile(e.Name()); ok {
-			paths = append(paths, filepath.Join(dir, e.Name()))
-		}
-	}
-	merged, err := checkpoint.MergeShardFiles(paths)
-	if err != nil {
-		return nil, err
-	}
-	keys := make(map[string]bool, len(merged))
-	for _, e := range merged {
-		keys[e.Key] = true
-	}
-	return keys, nil
 }
 
 // Publish refreshes the memcontention_fleet_* gauges from the report.

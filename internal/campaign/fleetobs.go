@@ -5,6 +5,7 @@ import (
 	"sync"
 	"time"
 
+	"memcontention/internal/checkpoint"
 	"memcontention/internal/lease"
 	"memcontention/internal/obs"
 )
@@ -12,8 +13,9 @@ import (
 // fleetObs bundles one executor's fleet-observability plane: its event
 // journal (events/<worker>.jsonl), its status beacon
 // (beacons/<worker>.json) and a rolling throughput window. Remote
-// workers and the in-process supervisor both speak through it, so
-// memtop sees one vocabulary regardless of how the campaign runs.
+// workers and the in-process pool (one fleetObs shared by all its
+// workers) both speak through it, so memtop sees one vocabulary
+// regardless of how the campaign runs.
 //
 // Observability must never kill a campaign: every emission failure is
 // swallowed into an error counter (surfaced as RemoteReport.ObsErrors)
@@ -148,14 +150,15 @@ func (fo *fleetObs) claimed(h *lease.Held) {
 	fo.beacon()
 }
 
-// shardView records the worker's view of one shard at claim time: how
-// much was already journaled and how much it is about to run.
-func (fo *fleetObs) shardView(shard, done, pending int) {
+// shardView records the worker's view of one shard: at claim time how
+// much was already journaled and how much it is about to run, and the
+// in-process pool's final per-shard progress.
+func (fo *fleetObs) shardView(sp ShardProgress) {
 	if fo == nil {
 		return
 	}
 	fo.mu.Lock()
-	fo.shards[shard] = &ShardProgress{Shard: shard, Done: done, Pending: pending}
+	fo.shards[sp.Shard] = &sp
 	fo.mu.Unlock()
 }
 
@@ -187,12 +190,6 @@ func (fo *fleetObs) renewFailure(shard int, epoch uint64, err error) {
 	fo.status.RenewErrors++
 	fo.mu.Unlock()
 	fo.emit(EventLeaseRenewFailure, shard, epoch, "", err.Error())
-}
-
-// tick refreshes the beacon from the heartbeat loop: proof of life even
-// while a long unit runs.
-func (fo *fleetObs) tick() {
-	fo.beacon()
 }
 
 // fenced records a lost lease: the holding disappears, the fence
@@ -230,32 +227,23 @@ func (fo *fleetObs) shardComplete(h *lease.Held) {
 	fo.emit(EventShardComplete, h.Shard(), h.Epoch(), "", "")
 }
 
-// quarantined records a poison unit the in-process supervisor gave up
-// on: the shard view moves it from pending to quarantined and the event
-// carries the unit key and the final error.
-func (fo *fleetObs) quarantined(shard int, key, detail string) {
+// finish writes the worker's last beacon in the terminal state its run
+// ended in — drained, stopped (idle or canceled) or failed with err —
+// emits the matching lifecycle event and closes the event journal. This
+// is what lets memtop tell a clean exit from a corpse: a crash leaves
+// the beacon saying "running" with a heartbeat-old timestamp.
+func (fo *fleetObs) finish(err error, drained bool, detail string) {
 	if fo == nil {
 		return
 	}
-	fo.mu.Lock()
-	if sp := fo.shards[shard]; sp != nil {
-		sp.Quarantined++
-		if sp.Pending > 0 {
-			sp.Pending--
-		}
-	}
-	fo.mu.Unlock()
-	fo.emit(EventUnitQuarantine, shard, 0, key, detail)
-	fo.beacon()
-}
-
-// finish writes the worker's last beacon in its terminal state, emits
-// the matching lifecycle event and closes the event journal. This is
-// what lets memtop tell a clean exit from a corpse: a crash leaves the
-// beacon saying "running" with a heartbeat-old timestamp.
-func (fo *fleetObs) finish(state string, t EventType, detail string) {
-	if fo == nil {
-		return
+	state, t := WorkerStopped, EventWorkerStop
+	switch {
+	case err == nil && drained:
+		state, t = WorkerDrained, EventWorkerDrain
+	case checkpoint.IsCanceled(err):
+		detail = "canceled"
+	case err != nil:
+		state, detail = WorkerFailed, err.Error()
 	}
 	fo.mu.Lock()
 	fo.status.State = state

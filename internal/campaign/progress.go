@@ -15,15 +15,14 @@ type ShardProgress struct {
 }
 
 // ProgressReport is a point-in-time snapshot of a sharded campaign: the
-// overall completion plus the per-shard split and the supervision
-// counters. The same numbers feed the memcontention_campaign_* gauges,
+// overall completion plus the per-shard split and the worker restart
+// count. The same numbers feed the memcontention_campaign_* gauges,
 // so a scrape and a report never disagree.
 type ProgressReport struct {
 	Units       int             `json:"units"`
 	Done        int             `json:"done"`
 	Quarantined int             `json:"quarantined"`
 	Restarts    int             `json:"restarts"`
-	Stolen      int             `json:"stolen"`
 	Shards      []ShardProgress `json:"shards"`
 }
 
@@ -31,8 +30,8 @@ type ProgressReport struct {
 // per shard in shard order.
 func (p ProgressReport) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "campaign: %d/%d units done, %d quarantined, %d restarts, %d stolen\n",
-		p.Done, p.Units, p.Quarantined, p.Restarts, p.Stolen)
+	fmt.Fprintf(&b, "campaign: %d/%d units done, %d quarantined, %d restarts\n",
+		p.Done, p.Units, p.Quarantined, p.Restarts)
 	for _, s := range p.Shards {
 		fmt.Fprintf(&b, "  shard %d: %d done, %d pending, %d quarantined\n",
 			s.Shard, s.Done, s.Pending, s.Quarantined)

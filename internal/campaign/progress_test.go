@@ -9,7 +9,7 @@ import (
 
 func TestProgressReportJSONRoundTrip(t *testing.T) {
 	p := ProgressReport{
-		Units: 9, Done: 5, Quarantined: 1, Restarts: 2, Stolen: 3,
+		Units: 9, Done: 5, Quarantined: 1, Restarts: 2,
 		Shards: []ShardProgress{
 			{Shard: 0, Done: 3, Pending: 1},
 			{Shard: 1, Done: 2, Pending: 2, Quarantined: 1},
@@ -28,7 +28,7 @@ func TestProgressReportJSONRoundTrip(t *testing.T) {
 	}
 	// The field names are a wire contract (beacons embed ShardProgress,
 	// memtop's JSON report embeds both): pin them.
-	for _, key := range []string{`"units"`, `"done"`, `"quarantined"`, `"restarts"`, `"stolen"`, `"shards"`, `"shard"`, `"pending"`} {
+	for _, key := range []string{`"units"`, `"done"`, `"quarantined"`, `"restarts"`, `"shards"`, `"shard"`, `"pending"`} {
 		if !strings.Contains(string(data), key) {
 			t.Fatalf("encoded report %s lacks %s", data, key)
 		}
@@ -39,13 +39,13 @@ func TestProgressReportJSONRoundTrip(t *testing.T) {
 // lines operators grep in logs and the soak harness matches on.
 func TestProgressReportStringGolden(t *testing.T) {
 	p := ProgressReport{
-		Units: 4, Done: 2, Quarantined: 1, Restarts: 1, Stolen: 0,
+		Units: 4, Done: 2, Quarantined: 1, Restarts: 1,
 		Shards: []ShardProgress{
 			{Shard: 0, Done: 2, Pending: 0, Quarantined: 0},
 			{Shard: 1, Done: 0, Pending: 1, Quarantined: 1},
 		},
 	}
-	want := "campaign: 2/4 units done, 1 quarantined, 1 restarts, 0 stolen\n" +
+	want := "campaign: 2/4 units done, 1 quarantined, 1 restarts\n" +
 		"  shard 0: 2 done, 0 pending, 0 quarantined\n" +
 		"  shard 1: 0 done, 1 pending, 1 quarantined\n"
 	if got := p.String(); got != want {
@@ -59,7 +59,7 @@ func TestProgressReportStringGolden(t *testing.T) {
 // trip with Shards nil.
 func TestProgressReportEmptyCampaign(t *testing.T) {
 	var p ProgressReport
-	want := "campaign: 0/0 units done, 0 quarantined, 0 restarts, 0 stolen\n"
+	want := "campaign: 0/0 units done, 0 quarantined, 0 restarts\n"
 	if got := p.String(); got != want {
 		t.Fatalf("zero String():\n%q\nwant:\n%q", got, want)
 	}
@@ -87,7 +87,7 @@ func TestProgressReportAllQuarantined(t *testing.T) {
 			{Shard: 1, Quarantined: 1},
 		},
 	}
-	want := "campaign: 0/3 units done, 3 quarantined, 6 restarts, 0 stolen\n" +
+	want := "campaign: 0/3 units done, 3 quarantined, 6 restarts\n" +
 		"  shard 0: 0 done, 0 pending, 2 quarantined\n" +
 		"  shard 1: 0 done, 0 pending, 1 quarantined\n"
 	if got := p.String(); got != want {

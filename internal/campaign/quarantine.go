@@ -25,8 +25,8 @@ const QuarantineFile = "quarantine.jsonl"
 type UnitError struct {
 	// Key is the unit's journal key.
 	Key string
-	// Shard is the unit's home shard (its hash assignment, not where a
-	// stolen attempt happened to run — the home shard is deterministic).
+	// Shard is the unit's home shard (its deterministic hash
+	// assignment).
 	Shard int
 	// Attempts is the number of failed attempts, retries included.
 	Attempts int

@@ -31,7 +31,9 @@ import (
 // journal files. A deposed zombie that is still running can only append
 // to its own dead-epoch file — harmless, because campaigns are
 // deterministic in (seed, config) and the merge unions epochs with
-// byte-equality conflict detection.
+// byte-equality conflict detection. The in-process sharded executor
+// (sharded.go) runs the same scan-claim-execute loop, leaseWorker, as
+// goroutines over a local directory.
 
 // ManifestFile is the campaign manifest written into the campaign
 // directory: the (seed, platforms, shards, replications) tuple every
@@ -207,6 +209,9 @@ type RemoteOptions struct {
 	UnitDone func(shard int, key string)
 }
 
+// withDefaults is the one defaults table of both executors: the
+// in-process pool builds its RemoteOptions from ShardOptions and fills
+// them here.
 func (o RemoteOptions) withDefaults() RemoteOptions {
 	if o.Shards <= 0 {
 		o.Shards = sweep.DefaultWorkers()
@@ -224,21 +229,25 @@ func (o RemoteOptions) withDefaults() RemoteOptions {
 		}
 	}
 	if o.Sleep == nil {
-		o.Sleep = func(ctx context.Context, d time.Duration) error {
-			t := time.NewTimer(d)
-			defer t.Stop()
-			select {
-			case <-ctx.Done():
-				return ctx.Err()
-			case <-t.C:
-				return nil
-			}
-		}
+		o.Sleep = sleepCtx
 	}
 	if o.Poll <= 0 {
 		o.Poll = o.Lease.WithDefaults().Heartbeat
 	}
 	return o
+}
+
+// sleepCtx waits d, returning early with the context's error when ctx
+// ends first.
+func sleepCtx(ctx context.Context, d time.Duration) error {
+	t := time.NewTimer(d)
+	defer t.Stop()
+	select {
+	case <-ctx.Done():
+		return ctx.Err()
+	case <-t.C:
+		return nil
+	}
 }
 
 // RemoteReport summarises one worker's share of a remote campaign.
@@ -292,11 +301,6 @@ func RemoteWorker(cfg Config, opts RemoteOptions, names []string) (*RemoteReport
 	if err != nil {
 		return nil, err
 	}
-	byShard := make([][]unit, man.Shards)
-	for _, u := range units {
-		s := homeShard(u.Key, man.Shards)
-		byShard[s] = append(byShard[s], u)
-	}
 	lcfg := opts.Lease
 	lcfg.Dir = filepath.Join(opts.Dir, LeaseDir)
 	lcfg.Registry = cfg.Registry
@@ -310,58 +314,57 @@ func RemoteWorker(cfg Config, opts RemoteOptions, names []string) (*RemoteReport
 		return nil, err
 	}
 	fo.join()
-	report := &RemoteReport{Owner: owner}
-	err = remoteWork(cfg.ctx(), cfg, opts, set, mgr, fo, byShard, report)
+	w := &leaseWorker{cfg: cfg, opts: opts, set: set, mgr: mgr, fo: fo, byShard: byHomeShard(units, man.Shards)}
+	w.report.Owner = owner
+	err = w.work(cfg.ctx())
 	// Funnel every exit through one final beacon + lifecycle event, so
 	// the fleet plane can tell a clean exit from a crash: a killed worker
 	// never reaches this and leaves a stale "running" beacon behind.
-	switch {
-	case err == nil && report.Drained:
-		fo.finish(WorkerDrained, EventWorkerDrain, "")
-	case err == nil:
-		fo.finish(WorkerStopped, EventWorkerStop, "")
-	case checkpoint.IsCanceled(err):
-		fo.finish(WorkerStopped, EventWorkerStop, "canceled")
-	default:
-		fo.finish(WorkerFailed, EventWorkerStop, err.Error())
-	}
-	report.ObsErrors = fo.errors()
-	return report, err
+	fo.finish(err, w.report.Drained, "")
+	w.report.ObsErrors = fo.errors()
+	return &w.report, err
 }
 
-// remoteWork is RemoteWorker's scan-claim-execute loop, separated so
-// every exit path funnels through the caller's final beacon and
-// lifecycle event.
-func remoteWork(ctx context.Context, cfg Config, opts RemoteOptions, set *checkpoint.ShardSet,
-	mgr *lease.Manager, fo *fleetObs, byShard [][]unit, report *RemoteReport) error {
+// leaseWorker runs the campaign's one scheduling loop — scan the shards,
+// claim a lease, execute the shard's pending units — for a memworker
+// process (RemoteWorker) or for one goroutine of the in-process pool
+// (ShardedPipeline and ShardedEvaluate; pool set).
+type leaseWorker struct {
+	cfg     Config
+	opts    RemoteOptions
+	set     *checkpoint.ShardSet
+	mgr     *lease.Manager
+	fo      *fleetObs
+	byShard [][]unit
+	pool    *shardPool // nil for remote workers
+	report  RemoteReport
+}
+
+// work scans the shards until every unit is journaled (report.Drained),
+// the context ends, or a shard fails. The caller owns the final beacon
+// and lifecycle event, so every exit path funnels through it.
+func (w *leaseWorker) work(ctx context.Context) error {
 	for {
-		progressed := false
-		allDone := true
-		for shard := range byShard {
+		done, err := journaledKeys(w.set.Dir())
+		if err != nil {
+			return err
+		}
+		progressed, allDone := false, true
+		for shard := range w.byShard {
 			if err := ctx.Err(); err != nil {
 				return fmt.Errorf("campaign: remote worker: %w", err)
 			}
-			pending, err := pendingUnits(set, byShard[shard], shard)
-			if err != nil {
-				return err
-			}
-			if len(pending) == 0 {
+			if len(w.pending(shard, done)) == 0 {
 				continue
 			}
 			allDone = false
-			floor, err := set.MaxEpoch(shard)
-			if err != nil {
-				return err
-			}
-			held, err := mgr.Acquire(shard, floor)
+			held, err := w.claim(shard)
 			if errors.Is(err, lease.ErrHeld) {
 				continue // a live owner is on it; move on
 			}
 			if err != nil {
 				return err
 			}
-			report.Claimed = append(report.Claimed, shard)
-			fo.claimed(held)
 			// Re-scan after the claim: the previous owner may have
 			// journaled more units — or drained the shard entirely —
 			// between our pending scan and its release. Acquire succeeded,
@@ -370,39 +373,43 @@ func remoteWork(ctx context.Context, cfg Config, opts RemoteOptions, set *checkp
 			// a unit twice (only a fenced zombie's in-flight unit or a
 			// split-claim race can overlap, each into its own epoch file
 			// with byte-identical payloads).
-			pending, err = pendingUnits(set, byShard[shard], shard)
-			if err != nil {
-				held.Release()
-				fo.leaseDropped(held.Shard())
+			if done, err = journaledKeys(w.set.Dir()); err != nil {
+				w.settle(held, false)
 				return err
 			}
+			pending := w.pending(shard, done)
 			if len(pending) == 0 {
-				relErr := held.Release()
-				fo.leaseDropped(held.Shard())
-				if relErr != nil {
-					return relErr
+				if err := w.settle(held, false); err != nil {
+					return err
 				}
 				continue
 			}
-			ran, rerr := runLeasedShard(ctx, cfg, opts, set, held, mgr.Heartbeat(), pending, len(byShard[shard]), fo, report)
-			report.Units += ran
-			if rerr != nil {
-				return rerr
+			ran, err := w.runShard(ctx, held, pending)
+			if err != nil {
+				return err
 			}
-			if ran > 0 {
-				progressed = true
+			progressed = progressed || ran > 0
+			// Peers kept journaling while this shard ran.
+			if done, err = journaledKeys(w.set.Dir()); err != nil {
+				return err
 			}
 		}
 		if allDone {
-			report.Drained = true
+			w.report.Drained = true
 			return nil
 		}
-		if !progressed {
-			// Everything pending is leased by live peers (or fenced away
-			// from us). Wait one poll interval for them to finish or die.
-			if err := opts.Sleep(ctx, opts.Poll); err != nil {
-				return fmt.Errorf("campaign: remote worker: %w", err)
-			}
+		if progressed {
+			continue
+		}
+		// Everything pending is leased by live peers (or fenced away
+		// from us). In-process peers never die for good — the pool
+		// restarts them — so a pool worker is done. A remote worker
+		// waits one poll interval for its peers to finish or die.
+		if w.pool != nil {
+			return nil
+		}
+		if err := w.opts.Sleep(ctx, w.opts.Poll); err != nil {
+			return fmt.Errorf("campaign: remote worker: %w", err)
 		}
 	}
 }
@@ -465,53 +472,61 @@ func remoteSetup(cfg Config, opts RemoteOptions, names []string) (Config, Remote
 	return cfg, opts, man, set, nil
 }
 
-// pendingUnits returns the units of shard not yet journaled in any of
-// the shard's journal files (any epoch — completed work survives
-// takeover). A merge conflict here means journal corruption or a
-// nondeterminism bug and fails loudly, exactly like the final merge.
-func pendingUnits(set *checkpoint.ShardSet, units []unit, shard int) ([]unit, error) {
-	files, err := set.ShardFiles(shard)
-	if err != nil {
-		return nil, err
-	}
-	entries, err := checkpoint.MergeShardFiles(files)
-	if err != nil {
-		return nil, err
-	}
-	done := make(map[string]bool, len(entries))
-	for _, e := range entries {
-		done[e.Key] = true
-	}
+// pending lists the units of shard that are neither journaled (done)
+// nor quarantined by the worker's pool.
+func (w *leaseWorker) pending(shard int, done map[string]bool) []unit {
 	var out []unit
-	for _, u := range units {
-		if !done[u.Key] {
+	for _, u := range w.byShard[shard] {
+		if !done[u.Key] && !w.pool.quarantined(u.Key) {
 			out = append(out, u)
 		}
 	}
-	return out, nil
+	return out
 }
 
-// runLeasedShard executes pending units under an acquired lease:
-// journal opened at the lease's epoch, heartbeat goroutine renewing on
-// the configured interval, fencing checked between units. It returns
-// the number of units completed and always closes the journal and
-// releases the lease (Release is a no-op on a fenced lease, so a new
-// owner's lease file is never disturbed).
-func runLeasedShard(ctx context.Context, cfg Config, opts RemoteOptions, set *checkpoint.ShardSet,
-	held *lease.Held, heartbeat time.Duration, pending []unit, assigned int, fo *fleetObs, report *RemoteReport) (int, error) {
-	j, err := set.OpenEpochShard(held.Shard(), held.Epoch())
+// claim acquires shard's lease. The epoch floor is the highest epoch in
+// the shard's journal file names: even if the lease file was corrupted
+// or deleted, a surviving zombie journal forces the new epoch past it.
+func (w *leaseWorker) claim(shard int) (*lease.Held, error) {
+	floor, err := w.set.MaxEpoch(shard)
 	if err != nil {
-		held.Release()
-		fo.leaseDropped(held.Shard())
+		return nil, err
+	}
+	held, err := w.mgr.Acquire(shard, floor)
+	if err != nil {
+		return nil, err
+	}
+	w.report.Claimed = append(w.report.Claimed, shard)
+	w.fo.claimed(held)
+	return held, nil
+}
+
+// runShard executes pending units under an acquired lease: journal
+// opened at the lease's epoch, heartbeat goroutine renewing on the
+// lease interval, fencing checked between units. It returns the number
+// of units completed and always closes the journal and settles the
+// lease (Release is a no-op on a fenced lease, so a new owner's lease
+// file is never disturbed).
+func (w *leaseWorker) runShard(ctx context.Context, held *lease.Held, pending []unit) (int, error) {
+	shard := held.Shard()
+	j, err := w.set.OpenEpochShard(shard, held.Epoch())
+	if err != nil {
+		w.settle(held, false)
 		return 0, err
 	}
-	j.SetRegistry(cfg.Registry)
-	fo.shardView(held.Shard(), assigned-len(pending), len(pending))
+	j.SetRegistry(w.cfg.Registry)
+	w.fo.shardView(ShardProgress{Shard: shard, Done: len(w.byShard[shard]) - len(pending), Pending: len(pending)})
 
 	// The heartbeat goroutine sleeps first — Acquire just wrote a fresh
 	// heartbeat — then renews until fenced or stopped. Its counters are
 	// published to the report only after <-hbDone (the channel close is
-	// the happens-before edge).
+	// the happens-before edge). The pool's Sleep is its retry backoff
+	// alone (tests inject a no-op there), so its heartbeat waits on a
+	// real timer instead of spinning on Renew.
+	beat := w.opts.Sleep
+	if w.pool != nil {
+		beat = sleepCtx
+	}
 	hbCtx, hbStop := context.WithCancel(ctx)
 	hbDone := make(chan struct{})
 	var renewErrs int
@@ -525,7 +540,7 @@ func runLeasedShard(ctx context.Context, cfg Config, opts RemoteOptions, set *ch
 			if hbCtx.Err() != nil {
 				return
 			}
-			if err := opts.Sleep(hbCtx, heartbeat); err != nil {
+			if err := beat(hbCtx, w.mgr.Heartbeat()); err != nil {
 				return
 			}
 			if err := held.Renew(); err != nil {
@@ -533,10 +548,10 @@ func runLeasedShard(ctx context.Context, cfg Config, opts RemoteOptions, set *ch
 					return
 				}
 				renewErrs++
-				fo.renewFailure(held.Shard(), held.Epoch(), err)
+				w.fo.renewFailure(shard, held.Epoch(), err)
 				continue
 			}
-			fo.tick()
+			w.fo.beacon() // proof of life even while a long unit runs
 		}
 	}()
 
@@ -550,79 +565,123 @@ func runLeasedShard(ctx context.Context, cfg Config, opts RemoteOptions, set *ch
 		if held.Fenced() {
 			break
 		}
-		if opts.UnitStart != nil {
-			opts.UnitStart(held.Shard(), u.Key)
-		}
-		if err := runRemoteUnit(ctx, cfg, opts, j, u); err != nil {
-			if checkpoint.IsCanceled(err) {
-				runErr = fmt.Errorf("campaign: remote worker: %w", err)
-			} else {
-				runErr = &UnitError{Key: u.Key, Shard: held.Shard(), Attempts: opts.MaxAttempts, Err: err}
-			}
+		if w.pool.kill(shard, u.Key) {
+			runErr = errWorkerKilled
 			break
 		}
+		if w.opts.UnitStart != nil {
+			w.opts.UnitStart(shard, u.Key)
+		}
+		if err := w.runUnit(ctx, j, u); err != nil {
+			if checkpoint.IsCanceled(err) {
+				runErr = fmt.Errorf("campaign: remote worker: %w", err)
+				break
+			}
+			uerr := &UnitError{Key: u.Key, Shard: shard, Attempts: w.opts.MaxAttempts, Err: err}
+			if w.pool == nil {
+				runErr = uerr
+				break
+			}
+			w.pool.quarantine(uerr)
+			continue
+		}
 		ran++
-		fo.unitDone(held.Shard())
-		if opts.UnitDone != nil {
-			opts.UnitDone(held.Shard(), u.Key)
+		w.fo.unitDone(shard)
+		if w.opts.UnitDone != nil {
+			w.opts.UnitDone(shard, u.Key)
 		}
 	}
 
 	hbStop()
 	<-hbDone
-	report.RenewErrors += renewErrs
+	w.report.Units += ran
+	w.report.RenewErrors += renewErrs
 	// Fencing is judged once, after the heartbeat goroutine has joined:
 	// whether the unit loop saw it or only the last renewal did, the
 	// fence is counted — and journaled — exactly once per lost lease.
 	fenced := held.Fenced()
 	if fenced {
-		report.Fenced++
-		fo.fenced(held)
+		w.report.Fenced++
+		w.fo.fenced(held)
 	}
 	cerr := j.Close()
-	relErr := held.Release()
-	if !fenced {
-		fo.leaseDropped(held.Shard())
+	serr := w.settle(held, runErr == nil && cerr == nil && !fenced && ran == len(pending))
+	if runErr == nil {
+		runErr = cerr
 	}
-	if runErr == nil && cerr == nil && relErr == nil && !fenced && ran == len(pending) {
-		fo.shardComplete(held)
+	if runErr == nil {
+		runErr = serr
 	}
-	if runErr != nil {
-		return ran, runErr
-	}
-	if cerr != nil {
-		return ran, cerr
-	}
-	return ran, relErr
+	return ran, runErr
 }
 
-// runRemoteUnit runs one unit with the in-process retry budget and
-// verifies it journaled its key (the same invariant the supervised
-// executor enforces: a completed unit can never vanish from the merge).
-func runRemoteUnit(ctx context.Context, cfg Config, opts RemoteOptions, j *checkpoint.Journal, u unit) error {
+// settle ends the worker's use of a lease. A remote worker releases it
+// at once, so a successor claims the shard without waiting out the
+// TTL. A pool worker hands it to the pool, which holds every lease
+// until all its workers have joined (shardPool.finish).
+func (w *leaseWorker) settle(held *lease.Held, complete bool) error {
+	if w.pool != nil {
+		w.pool.keep(held, complete)
+		return nil
+	}
+	return release(w.fo, held, complete)
+}
+
+// release drops a lease and, if its owner drained the shard, journals
+// the shard's completion.
+func release(fo *fleetObs, held *lease.Held, complete bool) error {
+	err := held.Release()
+	fo.leaseDropped(held.Shard())
+	if complete && err == nil {
+		fo.shardComplete(held)
+	}
+	return err
+}
+
+// runUnit is the one retry loop: it runs u until an attempt succeeds,
+// backing off between attempts, and returns the last failure once
+// MaxAttempts attempts have failed. A panic in unit code fails its
+// attempt like an error does; a canceled attempt did not fail and ends
+// the loop at once. A completed unit must have journaled its key, so it
+// can never silently vanish from the merge.
+func (w *leaseWorker) runUnit(ctx context.Context, j *checkpoint.Journal, u unit) error {
 	var last error
-	for attempt := 0; attempt < opts.MaxAttempts; attempt++ {
-		if attempt > 0 {
-			if err := opts.Sleep(ctx, opts.Backoff(attempt)); err != nil {
+	for attempt := 1; attempt <= w.opts.MaxAttempts; attempt++ {
+		if attempt > 1 {
+			w.pool.retried()
+			if err := w.opts.Sleep(ctx, w.opts.Backoff(attempt-1)); err != nil {
 				return err
 			}
 		}
-		wcfg := cfg
-		wcfg.Journal = j
-		wcfg.Workers = 1 // the unit is the parallelism grain
-		err := u.run(wcfg)
+		err := w.pool.fault(u.Key, attempt)
 		if err == nil {
-			if !j.Has(u.Key) {
-				return fmt.Errorf("campaign: unit %s completed without journaling its key", u.Key)
-			}
-			return nil
+			err = attemptUnit(w.cfg, j, u)
 		}
-		if checkpoint.IsCanceled(err) {
+		if err == nil || checkpoint.IsCanceled(err) {
 			return err
 		}
 		last = err
 	}
 	return last
+}
+
+// attemptUnit runs one attempt of u into journal j, turning a panic in
+// unit code into the attempt's error.
+func attemptUnit(cfg Config, j *checkpoint.Journal, u unit) (err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			err = fmt.Errorf("campaign: unit %s panicked: %v", u.Key, p)
+		}
+	}()
+	cfg.Journal = j
+	cfg.Workers = 1 // the unit is the parallelism grain
+	if err := u.run(cfg); err != nil {
+		return err
+	}
+	if !j.Has(u.Key) {
+		return fmt.Errorf("campaign: unit %s completed without journaling its key", u.Key)
+	}
+	return nil
 }
 
 // RemoteIncompleteError reports a finalize attempt on a campaign whose
@@ -662,9 +721,15 @@ func RemoteMerge(cfg Config, opts RemoteOptions, names []string) (*ShardResult, 
 	}
 	ctx := cfg.ctx()
 	for {
-		missing, err := missingUnits(set, units)
+		done, err := journaledKeys(opts.Dir)
 		if err != nil {
 			return nil, err
+		}
+		var missing []string
+		for _, u := range units {
+			if !done[u.Key] {
+				missing = append(missing, u.Key)
+			}
 		}
 		if len(missing) == 0 {
 			break
@@ -698,43 +763,6 @@ func RemoteMerge(cfg Config, opts RemoteOptions, names []string) (*ShardResult, 
 		}
 	}
 
-	merged, err := mergeShardSet(opts.Dir)
-	if err != nil {
-		return nil, err
-	}
-	defer merged.Close()
 	res := &ShardResult{Dir: opts.Dir}
-	mcfg := cfg
-	mcfg.Journal = merged
-	mcfg.Context = nil // assembly reads the journal; nothing to cancel
-	art, err := Pipeline(mcfg, man.Platforms)
-	if err != nil {
-		return res, err
-	}
-	res.Artifacts = art
-	return res, nil
-}
-
-// missingUnits lists the unit keys not yet present in the union of all
-// shard journal files.
-func missingUnits(set *checkpoint.ShardSet, units []unit) ([]string, error) {
-	paths, err := set.Paths()
-	if err != nil {
-		return nil, err
-	}
-	entries, err := checkpoint.MergeShardFiles(paths)
-	if err != nil {
-		return nil, err
-	}
-	done := make(map[string]bool, len(entries))
-	for _, e := range entries {
-		done[e.Key] = true
-	}
-	var missing []string
-	for _, u := range units {
-		if !done[u.Key] {
-			missing = append(missing, u.Key)
-		}
-	}
-	return missing, nil
+	return res, assembleMerged(cfg, opts.Dir, man.Platforms, res, assemblePipeline)
 }

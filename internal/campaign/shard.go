@@ -3,8 +3,11 @@ package campaign
 import (
 	"fmt"
 	"hash/fnv"
+	"os"
+	"path/filepath"
 
 	"memcontention/internal/bench"
+	"memcontention/internal/checkpoint"
 	"memcontention/internal/topology"
 )
 
@@ -13,8 +16,8 @@ import (
 // result, it doubles as the journal key the unit records under, and it
 // hashes to the unit's deterministic home shard. run executes the unit
 // against the worker's Config (shard journal attached) and must record
-// Key in cfg.Journal before returning nil — the supervisor verifies
-// this, so a completed unit can never silently vanish from the merge.
+// Key in cfg.Journal before returning nil — the executor verifies this,
+// so a completed unit can never silently vanish from the merge.
 type unit struct {
 	Key string
 	run func(cfg Config) error
@@ -28,6 +31,77 @@ func homeShard(key string, shards int) int {
 	h := fnv.New64a()
 	h.Write([]byte(key))
 	return int(h.Sum64() % uint64(shards))
+}
+
+// byHomeShard groups units by home shard, each group in enumeration
+// order.
+func byHomeShard(units []unit, shards int) [][]unit {
+	out := make([][]unit, shards)
+	for _, u := range units {
+		s := homeShard(u.Key, shards)
+		out[s] = append(out[s], u)
+	}
+	return out
+}
+
+// journaled merges every shard journal file in dir — all shards and
+// all epochs, dead ones and plain epoch-less files included — read
+// tolerantly and without creating anything, so the fleet monitor can
+// point it at a live campaign. A unit counts as done wherever it was
+// journaled. A merge conflict means journal corruption or a
+// nondeterminism bug and fails loudly.
+func journaled(dir string) ([]checkpoint.Entry, error) {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, fmt.Errorf("campaign: shard scan %s: %w", dir, err)
+	}
+	var paths []string
+	for _, e := range entries {
+		if _, _, ok := checkpoint.ParseShardFile(e.Name()); ok && !e.IsDir() {
+			paths = append(paths, filepath.Join(dir, e.Name()))
+		}
+	}
+	return checkpoint.MergeShardFiles(paths)
+}
+
+// journaledKeys is the key set of journaled(dir).
+func journaledKeys(dir string) (map[string]bool, error) {
+	entries, err := journaled(dir)
+	if err != nil {
+		return nil, err
+	}
+	keys := make(map[string]bool, len(entries))
+	for _, e := range entries {
+		keys[e.Key] = true
+	}
+	return keys, nil
+}
+
+// tally counts units by home shard: done when journaled, quarantined
+// when quar names them, pending otherwise.
+func tally(units []unit, shards int, done map[string]bool, quar []QuarantineRecord) ProgressReport {
+	poisoned := make(map[string]bool, len(quar))
+	for _, q := range quar {
+		poisoned[q.Key] = true
+	}
+	p := ProgressReport{Units: len(units), Shards: make([]ShardProgress, shards)}
+	for i := range p.Shards {
+		p.Shards[i].Shard = i
+	}
+	for _, u := range units {
+		sp := &p.Shards[homeShard(u.Key, shards)]
+		switch {
+		case done[u.Key]:
+			sp.Done++
+			p.Done++
+		case poisoned[u.Key]:
+			sp.Quarantined++
+			p.Quarantined++
+		default:
+			sp.Pending++
+		}
+	}
+	return p
 }
 
 // evalUnit builds the platform-evaluation unit for one (platform, seed):
@@ -54,7 +128,7 @@ func evalUnit(cfg Config, name string, seed uint64) (unit, error) {
 
 // netbenchUnit builds the ping-pong sweep unit. The per-size points
 // journal individually inside the driver; the marker entry recorded
-// under the unit key makes sweep completion visible to the supervisor
+// under the unit key makes sweep completion visible to the executor
 // and the merge.
 func netbenchUnit(names []string) unit {
 	key := "unit|netbench|" + names[0]

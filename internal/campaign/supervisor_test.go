@@ -320,14 +320,14 @@ func TestHomeShardStableAndInRange(t *testing.T) {
 
 func TestProgressReportString(t *testing.T) {
 	p := ProgressReport{
-		Units: 5, Done: 3, Quarantined: 1, Restarts: 2, Stolen: 4,
+		Units: 5, Done: 3, Quarantined: 1, Restarts: 2,
 		Shards: []ShardProgress{
 			{Shard: 0, Done: 2, Pending: 0, Quarantined: 1},
 			{Shard: 1, Done: 1, Pending: 1, Quarantined: 0},
 		},
 	}
 	s := p.String()
-	for _, want := range []string{"3/5 units done", "1 quarantined", "2 restarts", "4 stolen", "shard 0: 2 done", "shard 1: 1 done, 1 pending"} {
+	for _, want := range []string{"3/5 units done", "1 quarantined", "2 restarts", "shard 0: 2 done", "shard 1: 1 done, 1 pending"} {
 		if !strings.Contains(s, want) {
 			t.Errorf("ProgressReport.String() = %q, missing %q", s, want)
 		}

@@ -49,7 +49,7 @@ func TestEpochShardPathsAndMaxEpoch(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	j0, err := set.OpenShard(0)
+	j0, err := Open(plainShard(dir, 0))
 	if err != nil {
 		t.Fatal(err)
 	}

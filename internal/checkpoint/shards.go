@@ -14,18 +14,21 @@ import (
 )
 
 // shardPrefix and shardSuffix frame the file names of per-shard journals
-// inside a ShardSet directory: shard-0000.ckpt, shard-0001.ckpt, ...
+// inside a ShardSet directory: shard-0000.e1.ckpt, shard-0001.e1.ckpt,
+// ... and the plain shard-0000.ckpt of older campaigns.
 const (
 	shardPrefix = "shard-"
 	shardSuffix = ".ckpt"
 )
 
 // ShardSet manages the per-shard journals of one sharded campaign: a
-// directory holding shard-NNNN.ckpt journal files, one per worker, each
-// with the full CRC32 + torn-tail-recovery durability of a single
-// Journal. The set is the unit of resume — a killed parallel campaign
-// reopens the same directory and the union of all shard journals tells
-// it which experiment units are already done, wherever they ran.
+// directory holding one journal file per (shard, lease epoch), each with
+// the full CRC32 + torn-tail-recovery durability of a single Journal.
+// Plain epoch-less shard-NNNN.ckpt files, as older campaigns wrote them,
+// are read and merged alongside. The set is the unit of resume — a
+// killed parallel campaign reopens the same directory and the union of
+// all shard journals tells it which experiment units are already done,
+// wherever they ran.
 type ShardSet struct {
 	dir string
 }
@@ -50,24 +53,10 @@ func (s *ShardSet) Dir() string {
 	return s.dir
 }
 
-// ShardPath returns the journal path of shard i.
-func (s *ShardSet) ShardPath(i int) string {
-	return filepath.Join(s.dir, fmt.Sprintf("%s%04d%s", shardPrefix, i, shardSuffix))
-}
-
-// OpenShard opens (or creates) the journal of shard i, recovering any
-// torn tail exactly like Open.
-func (s *ShardSet) OpenShard(i int) (*Journal, error) {
-	if i < 0 {
-		return nil, fmt.Errorf("checkpoint: negative shard index %d", i)
-	}
-	return Open(s.ShardPath(i))
-}
-
 // EpochShardPath returns the journal path of shard i under fencing
-// epoch e: shard-0003.e7.ckpt. Remote multi-process campaigns journal
-// into epoch-suffixed files — each (shard, epoch) pair has exactly one
-// owner ever (internal/lease claims epochs O_EXCL), so no two processes
+// epoch e: shard-0003.e7.ckpt. Campaign workers journal into
+// epoch-suffixed files — each (shard, epoch) pair has exactly one owner
+// ever (internal/lease claims epochs O_EXCL), so no two processes
 // can interleave appends into the same journal, and a deposed zombie's
 // late appends land in its own dead-epoch file. Paths() lists epoch
 // files alongside plain shard journals and MergeShards unions them all:
@@ -83,14 +72,14 @@ func (s *ShardSet) OpenEpochShard(i int, e uint64) (*Journal, error) {
 		return nil, fmt.Errorf("checkpoint: negative shard index %d", i)
 	}
 	if e == 0 {
-		return nil, fmt.Errorf("checkpoint: epoch 0 for shard %d (epochs start at 1)", e)
+		return nil, fmt.Errorf("checkpoint: epoch 0 for shard %d (epochs start at 1)", i)
 	}
 	return Open(s.EpochShardPath(i, e))
 }
 
 // ParseShardFile decomposes a shard-journal file name into its shard
-// index and epoch (0 for a plain, epoch-less journal as written by the
-// in-process sharded executor). Non-journal names report ok=false.
+// index and epoch (0 for a plain, epoch-less journal as older in-process
+// campaigns wrote them). Non-journal names report ok=false.
 func ParseShardFile(name string) (shard int, epoch uint64, ok bool) {
 	if !strings.HasPrefix(name, shardPrefix) || !strings.HasSuffix(name, shardSuffix) {
 		return 0, 0, false
@@ -128,7 +117,7 @@ func (s *ShardSet) ShardFiles(i int) ([]string, error) {
 }
 
 // MaxEpoch reports the highest epoch among shard i's existing journal
-// files (0 when only the plain journal, or nothing, exists). Remote
+// files (0 when only the plain journal, or nothing, exists). Campaign
 // workers feed it to lease.Manager.Acquire as the epoch floor: even if
 // the lease file was corrupted or deleted, a surviving zombie journal
 // forces the takeover epoch past the zombie's, so the new owner can
@@ -170,9 +159,10 @@ func (s *ShardSet) Paths() ([]string, error) {
 // MergeShards reads every given shard-journal image tolerantly (exactly
 // like Open: a torn or corrupt tail ends that shard's valid prefix and
 // the remainder is ignored) and merges the entries by key. The same key
-// appearing in several shards is legal — work stealing and worker
-// restarts can complete a re-run of a unit whose first attempt died
-// after journaling nested sub-units elsewhere — but only when every copy
+// appearing in several shard files is legal — a worker restarted under
+// a new lease epoch, or a fenced zombie, can complete a re-run of a unit
+// whose first attempt died after journaling nested sub-units in another
+// file — but only when every copy
 // carries byte-identical payloads; campaigns are deterministic in
 // (seed, config), so differing payloads mean corruption or a
 // nondeterminism bug and merging must fail loudly rather than pick one.

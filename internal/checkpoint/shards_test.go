@@ -3,10 +3,18 @@ package checkpoint
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
 )
+
+// plainShard is the path of shard i's plain, epoch-less journal — the
+// layout older in-process campaigns wrote, which every reader must keep
+// accepting.
+func plainShard(dir string, i int) string {
+	return filepath.Join(dir, fmt.Sprintf("shard-%04d.ckpt", i))
+}
 
 // encodeLines renders entries as a journal image.
 func encodeLines(t testing.TB, entries ...Entry) []byte {
@@ -35,9 +43,9 @@ func TestShardSetPathsAndOpen(t *testing.T) {
 	if err != nil || len(paths) != 0 {
 		t.Fatalf("fresh set has paths %v (err %v)", paths, err)
 	}
-	// Open shards out of order; Paths lists them sorted.
+	// Open plain shard journals out of order; Paths lists them sorted.
 	for _, i := range []int{2, 0} {
-		j, err := set.OpenShard(i)
+		j, err := Open(plainShard(dir, i))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -56,11 +64,14 @@ func TestShardSetPathsAndOpen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []string{set.ShardPath(0), set.ShardPath(2)}
+	want := []string{plainShard(dir, 0), plainShard(dir, 2)}
 	if len(paths) != 2 || paths[0] != want[0] || paths[1] != want[1] {
 		t.Fatalf("Paths() = %v, want %v", paths, want)
 	}
-	if _, err := set.OpenShard(-1); err == nil {
+	if files, err := set.ShardFiles(2); err != nil || len(files) != 1 || files[0] != want[1] {
+		t.Fatalf("ShardFiles(2) = %v (err %v), want the plain journal", files, err)
+	}
+	if _, err := set.OpenEpochShard(-1, 1); err == nil {
 		t.Fatal("negative shard index accepted")
 	}
 	if _, err := OpenShardSet(""); err == nil {
@@ -106,14 +117,14 @@ func TestMergeShardFilesAndWriteJournal(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		j, err := set.OpenShard(i)
+		j, err := Open(plainShard(dir, i))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if err := j.Record("shared", "same"); err != nil {
 			t.Fatal(err)
 		}
-		if err := j.Record(set.ShardPath(i), i); err != nil {
+		if err := j.Record(plainShard(dir, i), i); err != nil {
 			t.Fatal(err)
 		}
 		if err := j.Close(); err != nil {

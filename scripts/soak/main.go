@@ -12,13 +12,14 @@
 // after the fsync would leave. The torn-tail round additionally chops
 // bytes off the journal to model a kill mid-write.
 //
-// With -parallel the harness additionally soaks the supervised sharded
+// With -parallel the harness additionally soaks the in-process sharded
 // executor (docs/campaigns.md): it kills random workers mid-shard (the
-// supervisor must restart them and re-enqueue their units), kills the
-// whole parallel campaign at unit boundaries and resumes it from the
-// shard journals, and poisons a unit to prove it lands in
-// quarantine.jsonl — asserting after every phase that the artifacts are
-// byte-identical to the sequential baseline.
+// pool must restart them, and each restarted worker re-claims its own
+// lease and runs the unit it was killed before), kills the whole
+// parallel campaign at unit boundaries and resumes it from the shard
+// journals, and poisons a unit to prove it lands in quarantine.jsonl —
+// asserting after every phase that the artifacts are byte-identical to
+// the sequential baseline.
 //
 // With -remote the harness instead soaks the lease-coordinated
 // multi-process campaign with real memworker processes and real signals
@@ -58,7 +59,7 @@ func logf(format string, args ...any) {
 func main() {
 	rounds := flag.Int("rounds", 6, "minimum interruptions per scenario")
 	seed := flag.Uint64("seed", 1, "seed for the kill points and the campaign noise")
-	parallel := flag.Bool("parallel", false, "soak the supervised sharded executor instead of the sequential pipeline")
+	parallel := flag.Bool("parallel", false, "soak the in-process sharded executor instead of the sequential pipeline")
 	remote := flag.Bool("remote", false, "soak the lease-coordinated multi-process campaign (real memworker processes and signals)")
 	flag.BoolVar(&verbose, "v", false, "log every kill and resume")
 	flag.Parse()
@@ -201,12 +202,12 @@ func soakScenario(name string, plan *faults.Plan, rounds int, seed uint64) error
 	return nil
 }
 
-// soakParallel soaks the supervised sharded executor in three phases,
+// soakParallel soaks the in-process sharded executor in three phases,
 // each checked byte for byte against the sequential baseline:
 //
 //  1. worker churn — random workers are killed mid-shard at least
-//     `rounds` times; the supervisor restarts each one and re-enqueues
-//     its unit,
+//     `rounds` times; the pool restarts each one, which re-claims its
+//     lease and runs the unit it was killed before,
 //  2. whole-campaign kills — the parallel campaign is canceled at unit
 //     boundaries and resumed from its shard journals until it completes,
 //     with at least `rounds` kills,
