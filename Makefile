@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: check lint vet memlint memlint-per-check lint-fixtures build test race repro bench benchdiff fuzz soak soak-parallel soak-remote prof-smoke serve-smoke top-smoke loadtest fmt
+.PHONY: check lint vet memlint memlint-per-check lint-fixtures build test race repro bench benchdiff fuzz soak soak-parallel soak-remote prof-smoke serve-smoke top-smoke examples loadtest fmt
 
 check: lint build race repro benchdiff ## pre-merge gate: lint + build + race tests + reproduction (+ advisory benchdiff)
 
@@ -123,6 +123,15 @@ serve-smoke:
 # and scrapes the -serve plane's memcontention_fleet_* gauges.
 top-smoke:
 	$(GO) test -run 'TestMemtop' -count=1 ./cmd/memtop/
+
+# examples runs every examples/* program end to end (each exits 0 in
+# about half a second); they drive the public facade, including its
+# Calibrate and Evaluate paths, which `go build` alone only compiles.
+examples:
+	@for d in examples/*/; do \
+		echo "== $$d"; \
+		$(GO) run ./$$d >/dev/null || exit 1; \
+	done
 
 # loadtest proves the serving budgets on cached predictions: achieved
 # QPS >= 5000 and server-reported p99 <= 5ms, both read back from the

@@ -135,8 +135,9 @@ func BenchmarkFigure7Pyxis(b *testing.B)        { benchmarkFigure(b, "figure7", 
 func BenchmarkFigure8Dahu(b *testing.B)         { benchmarkFigure(b, "figure8", "dahu") }
 
 // BenchmarkAblationBaselines (E10): the threshold model against the
-// simpler predictors of internal/baseline on henri, all calibrated from
-// the same two sample runs.
+// simpler predictors of internal/baseline on henri, all built from the
+// model calibrated on the sample curves of the one evaluation sweep and
+// scored against that sweep's curves.
 func BenchmarkAblationBaselines(b *testing.B) {
 	plat, err := topology.ByName("henri")
 	if err != nil {
@@ -144,11 +145,11 @@ func BenchmarkAblationBaselines(b *testing.B) {
 	}
 	var rows []eval.AblationRow
 	for i := 0; i < b.N; i++ {
-		runner, err := bench.NewRunner(bench.Config{Platform: plat, Seed: 1})
+		res, err := eval.EvaluatePlatform(bench.Config{Platform: plat, Seed: 1})
 		if err != nil {
 			b.Fatal(err)
 		}
-		rows, err = eval.Ablation(runner)
+		rows, err = eval.Ablation(res)
 		if err != nil {
 			b.Fatal(err)
 		}

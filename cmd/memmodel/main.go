@@ -240,13 +240,7 @@ func modelCampaign(ctx context.Context, w io.Writer, j *checkpoint.Journal, o op
 	}
 
 	if o.robust {
-		// A fresh runner so the sweep is reproducible for the seed alone,
-		// independent of how much measurement the calibration consumed.
-		rrunner, rerr := bench.NewRunner(bench.Config{Platform: plat, Seed: o.seed, Registry: reg, Context: ctx})
-		if rerr != nil {
-			return rerr
-		}
-		rep, rerr := calib.Robustness(rrunner, calib.RobustnessOptions{Trials: o.robustTrials, Seed: o.seed})
+		rep, rerr := calib.Robustness(runner, calib.RobustnessOptions{Trials: o.robustTrials, Seed: o.seed})
 		if rerr != nil {
 			return rerr
 		}

@@ -39,7 +39,6 @@ import (
 	"path/filepath"
 
 	"memcontention/internal/atomicio"
-	"memcontention/internal/bench"
 	"memcontention/internal/campaign"
 	"memcontention/internal/checkpoint"
 	"memcontention/internal/eval"
@@ -418,17 +417,8 @@ func writeAll(w io.Writer, dir string, results []*eval.PlatformResult, byName ma
 		}
 	}
 	for _, r := range results {
-		r := r
 		if err := write("report-"+r.Platform+".txt", func(f io.Writer) error {
-			plat, err := topology.ByName(r.Platform)
-			if err != nil {
-				return err
-			}
-			runner, err := bench.NewRunner(bench.Config{Platform: plat, Seed: 1})
-			if err != nil {
-				return err
-			}
-			return report.Write(f, r, runner)
+			return report.Write(f, r)
 		}); err != nil {
 			return err
 		}

@@ -393,6 +393,24 @@ func SamplePlacements(plat *topology.Platform) (local, remote model.Placement) {
 	return model.Placement{Comp: 0, Comm: 0}, model.Placement{Comp: m, Comm: m}
 }
 
+// SampleCurves picks the two calibration curves, in the order (local,
+// remote), out of a sweep such as RunAll's.
+func SampleCurves(plat *topology.Platform, curves []*Curve) (local, remote *Curve, err error) {
+	lp, rp := SamplePlacements(plat)
+	for _, c := range curves {
+		switch c.Placement {
+		case lp:
+			local = c
+		case rp:
+			remote = c
+		}
+	}
+	if local == nil || remote == nil {
+		return nil, nil, fmt.Errorf("bench: sample placements %v/%v missing from sweep", lp, rp)
+	}
+	return local, remote, nil
+}
+
 // RunAll measures every placement combination.
 func (r *Runner) RunAll() ([]*Curve, error) {
 	placements := AllPlacements(r.cfg.Platform)

@@ -108,18 +108,9 @@ func Robustness(runner *bench.Runner, opts RobustnessOptions) (*RobustnessReport
 	if err != nil {
 		return nil, fmt.Errorf("calib: robustness: %w", err)
 	}
-	localPl, remotePl := bench.SamplePlacements(plat)
-	var local, remote *bench.Curve
-	for _, c := range curves {
-		switch c.Placement {
-		case localPl:
-			local = c
-		case remotePl:
-			remote = c
-		}
-	}
-	if local == nil || remote == nil {
-		return nil, fmt.Errorf("calib: robustness: sample placements %v/%v missing from sweep", localPl, remotePl)
+	local, remote, err := bench.SampleCurves(plat, curves)
+	if err != nil {
+		return nil, fmt.Errorf("calib: robustness: %w", err)
 	}
 
 	rep := &RobustnessReport{Platform: plat.Name}

@@ -4,8 +4,6 @@ import (
 	"fmt"
 
 	"memcontention/internal/baseline"
-	"memcontention/internal/bench"
-	"memcontention/internal/calib"
 	"memcontention/internal/export"
 	"memcontention/internal/stats"
 )
@@ -18,24 +16,16 @@ type AblationRow struct {
 	Overall  float64 `json:"overall"` // pooled comm+comp MAPE
 }
 
-// Ablation runs the E10 study on one platform: calibrate once, then score
-// the paper's threshold model and every baseline against the measured
-// curves of all placements.
-func Ablation(runner *bench.Runner) ([]AblationRow, error) {
-	m, err := calib.CalibrateRunner(runner)
-	if err != nil {
-		return nil, fmt.Errorf("eval: ablation: %w", err)
-	}
-	curves, err := runner.RunAll()
-	if err != nil {
-		return nil, fmt.Errorf("eval: ablation: %w", err)
-	}
+// Ablation runs the E10 study on one evaluated platform: it scores the
+// result's calibrated threshold model and every baseline built from it
+// against the measured curves of all placements. It measures nothing.
+func Ablation(res *PlatformResult) ([]AblationRow, error) {
 	var rows []AblationRow
-	for _, p := range baseline.All(m) {
+	for _, p := range baseline.All(res.Model) {
 		var commA, commP, compA, compP []float64
-		for _, c := range curves {
-			for _, pt := range c.Points {
-				pred, err := p.Predict(pt.N, c.Placement)
+		for _, pr := range res.Placements {
+			for _, pt := range pr.Measured.Points {
+				pred, err := p.Predict(pt.N, pr.Placement)
 				if err != nil {
 					return nil, fmt.Errorf("eval: ablation: %s: %w", p.Name(), err)
 				}
@@ -46,6 +36,7 @@ func Ablation(runner *bench.Runner) ([]AblationRow, error) {
 			}
 		}
 		row := AblationRow{Name: p.Name()}
+		var err error
 		if row.CommMAPE, err = stats.MAPE(commA, commP); err != nil {
 			return nil, err
 		}

@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -9,11 +10,11 @@ import (
 )
 
 func TestAblation(t *testing.T) {
-	runner, err := bench.NewRunner(bench.Config{Platform: topology.Henri(), Seed: 1})
+	res, err := EvaluatePlatform(bench.Config{Platform: topology.Henri(), Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, err := Ablation(runner)
+	rows, err := Ablation(res)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -22,6 +23,12 @@ func TestAblation(t *testing.T) {
 	}
 	if rows[0].Name != "threshold-model" {
 		t.Error("the paper's model must come first")
+	}
+	// The threshold-model row scores the same model against the same
+	// curves as Table II's "all" columns.
+	if math.Abs(rows[0].CommMAPE-res.Errors.CommAll) > 1e-9 || math.Abs(rows[0].CompMAPE-res.Errors.CompAll) > 1e-9 {
+		t.Errorf("threshold-model row %.4f%%/%.4f%%, Table II all %.4f%%/%.4f%%",
+			rows[0].CommMAPE, rows[0].CompMAPE, res.Errors.CommAll, res.Errors.CompAll)
 	}
 	for _, r := range rows[1:] {
 		if r.Overall <= rows[0].Overall {

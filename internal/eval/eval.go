@@ -1,8 +1,8 @@
 // Package eval runs the paper's full evaluation (§IV): it benchmarks every
-// data-placement configuration of a platform, calibrates the model from
-// the two sample placements only, predicts all placements, and computes
-// the prediction-error statistics of Table II. It also assembles the data
-// series behind Figures 2–8.
+// data-placement configuration of a platform once, calibrates the model
+// from the two sample curves of that sweep only, predicts all placements,
+// and computes the prediction-error statistics of Table II. It also
+// assembles the data series behind Figures 2–8.
 package eval
 
 import (
@@ -59,16 +59,23 @@ func EvaluatePlatform(cfg bench.Config) (*PlatformResult, error) {
 	return EvaluateRunner(runner)
 }
 
-// EvaluateRunner is EvaluatePlatform for a pre-built runner. The runner's
-// telemetry registry, when configured, receives evaluation instruments
-// (per-platform MAPE gauges, per-configuration absolute-error histograms).
+// EvaluateRunner is EvaluatePlatform for a pre-built runner. It measures
+// each placement exactly once: the model is calibrated from the two
+// sample curves of the one RunAll sweep it scores. The runner's telemetry
+// registry, when configured, receives the calibration instruments and the
+// evaluation instruments (per-platform MAPE gauges, per-configuration
+// absolute-error histograms).
 func EvaluateRunner(runner *bench.Runner) (*PlatformResult, error) {
 	plat := runner.Config().Platform
-	m, err := calib.CalibrateRunner(runner)
+	curves, err := runner.RunAll()
 	if err != nil {
 		return nil, fmt.Errorf("eval: %s: %w", plat.Name, err)
 	}
-	curves, err := runner.RunAll()
+	local, remote, err := bench.SampleCurves(plat, curves)
+	if err != nil {
+		return nil, fmt.Errorf("eval: %s: %w", plat.Name, err)
+	}
+	m, err := calib.CalibrateModelWith(local, remote, plat.NodesPerSocket(), calib.Options{Registry: runner.Registry()})
 	if err != nil {
 		return nil, fmt.Errorf("eval: %s: %w", plat.Name, err)
 	}

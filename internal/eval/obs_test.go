@@ -25,6 +25,18 @@ func TestEvaluationInstrumentation(t *testing.T) {
 	if got := reg.Counter("memcontention_eval_placements_total", "", nil).Value(); got != float64(len(res.Placements)) {
 		t.Errorf("placements counter = %v, want %d", got, len(res.Placements))
 	}
+	// One evaluation measures each placement exactly once: calibration
+	// reads the sample curves of the same sweep.
+	if got := reg.Counter("memcontention_bench_placements_total", "", nil).Value(); got != float64(len(res.Placements)) {
+		t.Errorf("bench placements counter = %v, want %d (one sweep)", got, len(res.Placements))
+	}
+	points := 0
+	for _, pr := range res.Placements {
+		points += len(pr.Measured.Points)
+	}
+	if got := reg.Counter("memcontention_bench_points_total", "", nil).Value(); got != float64(points) {
+		t.Errorf("bench points counter = %v, want %d (one sweep)", got, points)
+	}
 	labels := obs.L{"platform": "henri"}
 	if got := reg.Gauge("memcontention_eval_comm_mape_percent", "", labels).Value(); got != res.Errors.CommAll {
 		t.Errorf("comm MAPE gauge = %v, want %v", got, res.Errors.CommAll)

@@ -8,16 +8,15 @@ import (
 	"fmt"
 	"io"
 
-	"memcontention/internal/bench"
 	"memcontention/internal/eval"
 	"memcontention/internal/export"
 	"memcontention/internal/plot"
 )
 
-// Write renders the full report for one evaluated platform. The runner
-// must be configured identically to the one that produced the result (it
-// is used to re-run the ablation).
-func Write(w io.Writer, res *eval.PlatformResult, runner *bench.Runner) error {
+// Write renders the full report for one evaluated platform. Every section,
+// the ablation study included, is computed from the result alone; nothing
+// is measured again.
+func Write(w io.Writer, res *eval.PlatformResult) error {
 	fmt.Fprintf(w, "================================================================\n")
 	fmt.Fprintf(w, "PLATFORM REPORT — %s\n", res.Platform)
 	fmt.Fprintf(w, "================================================================\n\n")
@@ -37,15 +36,13 @@ func Write(w io.Writer, res *eval.PlatformResult, runner *bench.Runner) error {
 		return err
 	}
 
-	if runner != nil {
-		rows, err := eval.Ablation(runner)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(w)
-		if err := eval.AblationTable(res.Platform, rows).WriteText(w); err != nil {
-			return err
-		}
+	rows, err := eval.Ablation(res)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintln(w)
+	if err := eval.AblationTable(res.Platform, rows).WriteText(w); err != nil {
+		return err
 	}
 
 	fmt.Fprintf(w, "\nPer-placement errors:\n")

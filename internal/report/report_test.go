@@ -10,16 +10,12 @@ import (
 )
 
 func TestWriteReport(t *testing.T) {
-	runner, err := bench.NewRunner(bench.Config{Platform: topology.Henri(), Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := eval.EvaluateRunner(runner)
+	res, err := eval.EvaluatePlatform(bench.Config{Platform: topology.Henri(), Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var b strings.Builder
-	if err := Write(&b, res, runner); err != nil {
+	if err := Write(&b, res); err != nil {
 		t.Fatal(err)
 	}
 	out := b.String()
@@ -44,36 +40,18 @@ func TestWriteReport(t *testing.T) {
 	}
 }
 
-func TestWriteReportWithoutRunner(t *testing.T) {
-	res, err := eval.EvaluatePlatform(bench.Config{Platform: topology.Occigen(), Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var b strings.Builder
-	if err := Write(&b, res, nil); err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(b.String(), "threshold-model") {
-		t.Error("nil runner must skip the ablation section")
-	}
-}
-
 // TestReportByteStable renders the same evaluated platform twice; the
 // report (tables, charts, ablations) must be byte-identical.
 func TestReportByteStable(t *testing.T) {
-	runner, err := bench.NewRunner(bench.Config{Platform: topology.Henri(), Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := eval.EvaluateRunner(runner)
+	res, err := eval.EvaluatePlatform(bench.Config{Platform: topology.Henri(), Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var a, b strings.Builder
-	if err := Write(&a, res, runner); err != nil {
+	if err := Write(&a, res); err != nil {
 		t.Fatal(err)
 	}
-	if err := Write(&b, res, runner); err != nil {
+	if err := Write(&b, res); err != nil {
 		t.Fatal(err)
 	}
 	if a.String() != b.String() {
