@@ -16,6 +16,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
+	"strconv"
 
 	"memcontention/internal/checkpoint"
 	"memcontention/internal/kernels"
@@ -137,6 +138,13 @@ type Runner struct {
 	done    <-chan struct{}
 	journal *checkpoint.Journal
 	scope   string
+	// cores are socket 0's cores, the pool MeasurePoint draws from.
+	cores []topology.CoreID
+	// noisePrefix ("platform|kernel|") and repKeys (the hashed "rep<i>"
+	// labels, one per repeat) are the constant parts of every noise
+	// stream key, built once so that noise allocates nothing.
+	noisePrefix string
+	repKeys     []uint64
 }
 
 // benchInstruments are the runner's telemetry hooks; nil instruments
@@ -179,6 +187,12 @@ func NewRunner(cfg Config) (*Runner, error) {
 		r.done = cfg.Context.Done()
 	}
 	r.scope = scopeKey(cfg)
+	r.cores = cfg.Platform.CoresOfSocket(0)
+	r.noisePrefix = cfg.Platform.Name + "|" + cfg.Kernel.String() + "|"
+	r.repKeys = make([]uint64, cfg.Repeats)
+	for rep := range r.repKeys {
+		r.repKeys[rep] = rng.Hash("rep" + strconv.Itoa(rep))
+	}
 	return r, nil
 }
 
@@ -236,25 +250,14 @@ func (r *Runner) System() *memsys.System { return r.sys }
 // runner inherit it.
 func (r *Runner) Registry() *obs.Registry { return r.cfg.Registry }
 
-// computeStreams builds the weak-scaling kernel streams for n cores of
-// socket 0 with data on node.
-func (r *Runner) computeStreams(n int, node topology.NodeID) ([]memsys.Stream, error) {
-	cores := r.cfg.Platform.CoresOfSocket(0)
-	if n < 1 || n > len(cores) {
-		return nil, fmt.Errorf("bench: n=%d out of range [1,%d]", n, len(cores))
-	}
-	a := kernels.Assignment{Kernel: r.cfg.Kernel, Cores: cores[:n], Node: node}
-	return a.Streams(r.sys, 0)
-}
-
-// commStreams builds the communication stream(s) for data on node. IDs
-// start above any compute stream id.
-func (r *Runner) commStreams(node topology.NodeID) []memsys.Stream {
-	streams := []memsys.Stream{{
+// appendCommStreams appends the communication stream(s) for data on node
+// to streams. IDs start above any compute stream id.
+func (r *Runner) appendCommStreams(streams []memsys.Stream, node topology.NodeID) []memsys.Stream {
+	streams = append(streams, memsys.Stream{
 		ID:   1 << 20,
 		Kind: memsys.KindComm,
 		Node: node,
-	}}
+	})
 	if r.cfg.Bidirectional {
 		// Ping-pong: the NIC simultaneously reads outgoing data from
 		// the same node (§VI future work).
@@ -267,16 +270,29 @@ func (r *Runner) commStreams(node topology.NodeID) []memsys.Stream {
 	return streams
 }
 
-// noise returns the averaged multiplicative noise factor for a metric.
+// noise returns the averaged multiplicative noise factor for a metric. Its
+// stream is keyed by the label "platform|kernel|comp@C/comm@M|n=N|metric",
+// built in a stack buffer, and each repeat draws from the child keyed by
+// "rep<i>".
 func (r *Runner) noise(pl model.Placement, n int, metric string, rel float64) float64 {
 	if rel <= 0 {
 		return 1
 	}
-	label := fmt.Sprintf("%s|%s|%s|n=%d|%s", r.cfg.Platform.Name, r.cfg.Kernel, pl, n, metric)
-	s := rng.New(r.cfg.Seed, label)
+	var buf [128]byte
+	label := append(buf[:0], r.noisePrefix...)
+	label = append(label, "comp@"...)
+	label = strconv.AppendInt(label, int64(pl.Comp), 10)
+	label = append(label, "/comm@"...)
+	label = strconv.AppendInt(label, int64(pl.Comm), 10)
+	label = append(label, "|n="...)
+	label = strconv.AppendInt(label, int64(n), 10)
+	label = append(label, '|')
+	label = append(label, metric...)
+	s := rng.Keyed(r.cfg.Seed, rng.Hash(label))
 	sum := 0.0
-	for rep := 0; rep < r.cfg.Repeats; rep++ {
-		sum += s.Derive(fmt.Sprintf("rep%d", rep)).Jitter(rel)
+	for _, key := range r.repKeys {
+		rep := s.DeriveKeyed(key)
+		sum += rep.Jitter(rel)
 	}
 	return sum / float64(r.cfg.Repeats)
 }
@@ -297,33 +313,60 @@ func (r *Runner) commNoiseRel() float64 {
 	return q.MeasureNoiseRel
 }
 
-// MeasurePoint runs the three benchmark steps for one core count.
-func (r *Runner) MeasurePoint(pl model.Placement, n int) (Point, error) {
-	comp, err := r.computeStreams(n, pl.Comp)
+// pointMetrics names the noise streams of a point's four bandwidths.
+type pointMetrics struct {
+	compAlone, commAlone, compPar, commPar string
+}
+
+var (
+	socketMetrics = pointMetrics{"comp_alone", "comm_alone", "comp_par", "comm_par"}
+	mixedMetrics  = pointMetrics{"mixed_comp_alone", "mixed_comm_alone", "mixed_comp_par", "mixed_comm_par"}
+)
+
+// measure runs the three benchmark steps on cores running the kernel on
+// node pl.Comp: computations alone, communications alone, both in
+// parallel. what prefixes solver errors ("" or "mixed ").
+func (r *Runner) measure(pl model.Placement, n int, cores []topology.CoreID, names pointMetrics, what string) (Point, error) {
+	a := kernels.Assignment{Kernel: r.cfg.Kernel, Cores: cores, Node: pl.Comp}
+	par, err := a.Streams(r.sys, 0)
 	if err != nil {
 		return Point{}, err
 	}
-	comm := r.commStreams(pl.Comm)
+	// One slice holds the parallel set; the alone sets are its compute
+	// prefix and comm suffix.
+	par = r.appendCommStreams(par, pl.Comm)
+	comp, comm := par[:len(cores)], par[len(cores):]
 
 	aloneComp, err := r.sys.Solve(comp)
 	if err != nil {
-		return Point{}, fmt.Errorf("bench: compute-alone solve: %w", err)
+		return Point{}, fmt.Errorf("bench: %scompute-alone solve: %w", what, err)
 	}
 	aloneComm, err := r.sys.Solve(comm)
 	if err != nil {
-		return Point{}, fmt.Errorf("bench: comm-alone solve: %w", err)
+		return Point{}, fmt.Errorf("bench: %scomm-alone solve: %w", what, err)
 	}
-	par, err := r.sys.Solve(append(append([]memsys.Stream(nil), comp...), comm...))
+	both, err := r.sys.Solve(par)
 	if err != nil {
-		return Point{}, fmt.Errorf("bench: parallel solve: %w", err)
+		return Point{}, fmt.Errorf("bench: %sparallel solve: %w", what, err)
 	}
-
-	pt := Point{
+	return Point{
 		N:         n,
-		CompAlone: aloneComp.ComputeTotal * r.noise(pl, n, "comp_alone", r.compNoiseRel()),
-		CommAlone: aloneComm.CommTotal * r.noise(pl, n, "comm_alone", r.commNoiseRel()),
-		CompPar:   par.ComputeTotal * r.noise(pl, n, "comp_par", r.compNoiseRel()),
-		CommPar:   par.CommTotal * r.noise(pl, n, "comm_par", r.commNoiseRel()),
+		CompAlone: aloneComp.ComputeTotal * r.noise(pl, n, names.compAlone, r.compNoiseRel()),
+		CommAlone: aloneComm.CommTotal * r.noise(pl, n, names.commAlone, r.commNoiseRel()),
+		CompPar:   both.ComputeTotal * r.noise(pl, n, names.compPar, r.compNoiseRel()),
+		CommPar:   both.CommTotal * r.noise(pl, n, names.commPar, r.commNoiseRel()),
+	}, nil
+}
+
+// MeasurePoint runs the three benchmark steps for one core count, the
+// computations on the first n cores of socket 0.
+func (r *Runner) MeasurePoint(pl model.Placement, n int) (Point, error) {
+	if n < 1 || n > len(r.cores) {
+		return Point{}, fmt.Errorf("bench: n=%d out of range [1,%d]", n, len(r.cores))
+	}
+	pt, err := r.measure(pl, n, r.cores[:n], socketMetrics, "")
+	if err != nil {
+		return Point{}, err
 	}
 	r.m.points.Inc()
 	r.m.solves.Add(3)

@@ -3,8 +3,6 @@ package bench
 import (
 	"fmt"
 
-	"memcontention/internal/kernels"
-	"memcontention/internal/memsys"
 	"memcontention/internal/model"
 	"memcontention/internal/topology"
 )
@@ -49,32 +47,7 @@ func (r *Runner) MeasureMixedPoint(pl model.Placement, n int) (Point, error) {
 	if err != nil {
 		return Point{}, err
 	}
-	a := kernels.Assignment{Kernel: r.cfg.Kernel, Cores: cores, Node: pl.Comp}
-	comp, err := a.Streams(r.sys, 0)
-	if err != nil {
-		return Point{}, err
-	}
-	comm := r.commStreams(pl.Comm)
-
-	aloneComp, err := r.sys.Solve(comp)
-	if err != nil {
-		return Point{}, fmt.Errorf("bench: mixed compute-alone solve: %w", err)
-	}
-	aloneComm, err := r.sys.Solve(comm)
-	if err != nil {
-		return Point{}, fmt.Errorf("bench: mixed comm-alone solve: %w", err)
-	}
-	par, err := r.sys.Solve(append(append([]memsys.Stream(nil), comp...), comm...))
-	if err != nil {
-		return Point{}, fmt.Errorf("bench: mixed parallel solve: %w", err)
-	}
-	return Point{
-		N:         n,
-		CompAlone: aloneComp.ComputeTotal * r.noise(pl, n, "mixed_comp_alone", r.compNoiseRel()),
-		CommAlone: aloneComm.CommTotal * r.noise(pl, n, "mixed_comm_alone", r.commNoiseRel()),
-		CompPar:   par.ComputeTotal * r.noise(pl, n, "mixed_comp_par", r.compNoiseRel()),
-		CommPar:   par.CommTotal * r.noise(pl, n, "mixed_comm_par", r.commNoiseRel()),
-	}, nil
+	return r.measure(pl, n, cores, mixedMetrics, "mixed ")
 }
 
 // RunMixedPlacement sweeps n = 1..NCores (both sockets) for one placement

@@ -271,13 +271,16 @@ func (f *Flows) resolve() {
 		return
 	}
 	ids := make([]int, 0, len(f.active))
-	streams := make([]memsys.Stream, 0, len(f.active))
-	for id, fl := range f.active {
+	for id := range f.active {
 		ids = append(ids, id)
-		streams = append(streams, fl.stream)
 	}
 	sort.Ints(ids)
-	sort.Slice(streams, func(i, j int) bool { return streams[i].ID < streams[j].ID })
+	// A flow's stream carries its flow ID, so streams built in ids order
+	// reach the solver already ID-ordered and are solved in place.
+	streams := make([]memsys.Stream, len(ids))
+	for i, id := range ids {
+		streams[i] = f.active[id].stream
+	}
 	alloc, err := f.sys.Solve(streams)
 	if err != nil {
 		panic(fmt.Sprintf("engine: flow solve failed: %v", err))

@@ -169,8 +169,8 @@ func TestPropIdempotentSolve(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for id := range a.Rates {
-				if a.Rates[id] != b.Rates[id] {
+			for _, g := range a.grants {
+				if b.Rate(g.id) != g.rate {
 					t.Fatalf("%s: solver state leaked between calls", name)
 				}
 			}

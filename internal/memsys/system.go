@@ -1,8 +1,10 @@
 package memsys
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"memcontention/internal/topology"
@@ -51,8 +53,9 @@ type Stream struct {
 
 // Allocation is the solver's result: the bandwidth granted to each stream.
 type Allocation struct {
-	// Rates maps stream ID to granted bandwidth (GB/s).
-	Rates map[int]float64
+	// grants holds each stream's granted bandwidth (GB/s), in ascending
+	// stream ID order.
+	grants []grant
 	// ComputeTotal and CommTotal aggregate the granted bandwidth per
 	// kind; Total is their sum.
 	ComputeTotal float64
@@ -60,8 +63,20 @@ type Allocation struct {
 	Total        float64
 }
 
+// grant is one stream's share of an Allocation.
+type grant struct {
+	id   int
+	rate float64
+}
+
 // Rate returns the granted bandwidth of a stream (0 for unknown IDs).
-func (a *Allocation) Rate(id int) float64 { return a.Rates[id] }
+func (a *Allocation) Rate(id int) float64 {
+	i := sort.Search(len(a.grants), func(i int) bool { return a.grants[i].id >= id })
+	if i < len(a.grants) && a.grants[i].id == id {
+		return a.grants[i].rate
+	}
+	return 0
+}
 
 // System is a memory-system instance: a platform structure plus its
 // hardware behaviour profile.
@@ -111,30 +126,82 @@ type nodeGroup struct {
 	nRemote int // compute accessors crossing the link
 }
 
+// maxStackNodes and maxStackStreams bound the platform and stream-set
+// sizes whose per-call scratch Solve keeps on the stack; larger ones use
+// the heap. Nothing is kept on System, so Solve is safe for concurrent use.
+const (
+	maxStackNodes   = 16
+	maxStackStreams = 128
+)
+
+// scratch returns a zeroed slice of length n, backed by buf when n fits
+// and by the heap otherwise.
+func scratch[T any](buf []T, n int) []T {
+	if n > len(buf) {
+		return make([]T, n)
+	}
+	buf = buf[:n]
+	clear(buf)
+	return buf
+}
+
+func byID(a, b Stream) int { return cmp.Compare(a.ID, b.ID) }
+
 // Solve assigns a bandwidth to every stream according to the arbitration
 // policy described in the package comment. It is deterministic: the result
 // depends only on the stream set (IDs included), never on slice order.
+//
+// Every stream is addressed by its position in ID order; every sum runs in
+// that order, so results are reproducible bit for bit.
 func (s *System) Solve(streams []Stream) (*Allocation, error) {
 	if err := s.checkStreams(streams); err != nil {
 		return nil, err
 	}
-	// Work on an ID-sorted copy so the solve is order-independent.
-	ordered := append([]Stream(nil), streams...)
-	sort.Slice(ordered, func(i, j int) bool { return ordered[i].ID < ordered[j].ID })
+	// Work in ID order so the solve is order-independent. Inputs already
+	// in that order (the benchmark's and the engine's) are read in place.
+	ordered := streams
+	if !slices.IsSortedFunc(streams, byID) {
+		ordered = slices.Clone(streams)
+		slices.SortFunc(ordered, byID)
+	}
+	for i := 1; i < len(ordered); i++ {
+		if ordered[i].ID == ordered[i-1].ID {
+			return nil, fmt.Errorf("memsys: duplicate stream id %d", ordered[i].ID)
+		}
+	}
 
-	rates := make(map[int]float64, len(ordered))
-	groups := s.groupByNode(ordered)
-
-	for _, g := range groups {
-		s.solveNode(ordered, g, rates)
+	var (
+		rateBuf  [maxStackStreams]float64
+		idxBuf   [maxStackStreams]int
+		startBuf [2*maxStackNodes + 1]int
+	)
+	rates := scratch(rateBuf[:], len(ordered))
+	idx := scratch(idxBuf[:], len(ordered))
+	start := scratch(startBuf[:], 2*s.plat.NNodes()+1)
+	partitionByNode(ordered, idx, start)
+	for node := 0; node < s.plat.NNodes(); node++ {
+		lo, mid, hi := start[2*node], start[2*node+1], start[2*node+2]
+		if lo == hi {
+			continue
+		}
+		g := nodeGroup{node: topology.NodeID(node), compute: idx[lo:mid], comm: idx[mid:hi]}
+		for _, i := range g.compute {
+			if s.plat.CrossesLink(s.plat.Cores[ordered[i].Core].Socket, g.node) {
+				g.nRemote++
+			} else {
+				g.nLocal++
+			}
+		}
+		s.solveNode(ordered, &g, rates)
 	}
 	s.applyMeshPressure(ordered, rates)
 	s.applyLinkCap(ordered, rates)
 	s.applyPCIeCap(ordered, rates)
 
-	alloc := &Allocation{Rates: rates}
-	for _, st := range ordered {
-		r := rates[st.ID]
+	alloc := &Allocation{grants: make([]grant, len(ordered))}
+	for i, st := range ordered {
+		r := rates[i]
+		alloc.grants[i] = grant{id: st.ID, rate: r}
 		alloc.Total += r
 		if st.Kind == KindCompute {
 			alloc.ComputeTotal += r
@@ -145,13 +212,10 @@ func (s *System) Solve(streams []Stream) (*Allocation, error) {
 	return alloc, nil
 }
 
+// checkStreams validates each stream's fields; duplicate IDs are caught
+// by Solve once the streams are in ID order.
 func (s *System) checkStreams(streams []Stream) error {
-	seen := make(map[int]bool, len(streams))
 	for _, st := range streams {
-		if seen[st.ID] {
-			return fmt.Errorf("memsys: duplicate stream id %d", st.ID)
-		}
-		seen[st.ID] = true
 		if int(st.Node) < 0 || int(st.Node) >= s.plat.NNodes() {
 			return fmt.Errorf("memsys: stream %d targets node %d out of range", st.ID, st.Node)
 		}
@@ -174,31 +238,32 @@ func (s *System) checkStreams(streams []Stream) error {
 	return nil
 }
 
-func (s *System) groupByNode(ordered []Stream) []*nodeGroup {
-	byNode := make(map[topology.NodeID]*nodeGroup)
+// partitionByNode is a counting sort of stream positions by (node, kind).
+// On return the compute streams of node d are idx[start[2d]:start[2d+1]]
+// and its comm streams idx[start[2d+1]:start[2d+2]], each in ascending
+// position. start must be zeroed and hold 2·NNodes+1 entries.
+func partitionByNode(ordered []Stream, idx, start []int) {
+	slot := func(st Stream) int {
+		if st.Kind == KindComm {
+			return 2*int(st.Node) + 1
+		}
+		return 2 * int(st.Node)
+	}
+	for _, st := range ordered {
+		start[slot(st)+1]++
+	}
+	for k := 1; k < len(start); k++ {
+		start[k] += start[k-1]
+	}
+	// Fill each slot from its start; afterwards start[k] holds the end
+	// of slot k, which shifting by one turns back into the starts.
 	for i, st := range ordered {
-		g := byNode[st.Node]
-		if g == nil {
-			g = &nodeGroup{node: st.Node}
-			byNode[st.Node] = g
-		}
-		if st.Kind == KindCompute {
-			g.compute = append(g.compute, i)
-			if s.plat.CrossesLink(s.plat.Cores[st.Core].Socket, st.Node) {
-				g.nRemote++
-			} else {
-				g.nLocal++
-			}
-		} else {
-			g.comm = append(g.comm, i)
-		}
+		k := slot(st)
+		idx[start[k]] = i
+		start[k]++
 	}
-	groups := make([]*nodeGroup, 0, len(byNode))
-	for _, g := range byNode {
-		groups = append(groups, g)
-	}
-	sort.Slice(groups, func(i, j int) bool { return groups[i].node < groups[j].node })
-	return groups
+	copy(start[1:], start[:len(start)-1])
+	start[0] = 0
 }
 
 // commFactor reports the quirk factor applied to a comm stream's demand:
@@ -310,7 +375,7 @@ func (s *System) commReserve(env blendEnv, n int, perCore, commDemand float64, l
 	return reserve
 }
 
-func (s *System) solveNode(ordered []Stream, g *nodeGroup, rates map[int]float64) {
+func (s *System) solveNode(ordered []Stream, g *nodeGroup, rates []float64) {
 	q := s.prof.Quirks
 	n := g.nLocal + g.nRemote
 
@@ -328,12 +393,16 @@ func (s *System) solveNode(ordered []Stream, g *nodeGroup, rates map[int]float64
 
 	// Aggregate comm demand (nominal rate, locality- and quirk-adjusted).
 	var commDemand float64
+	factor := 1.0
+	if len(g.comm) > 0 {
+		factor = s.commFactor(ordered, g.node)
+	}
 	for _, i := range g.comm {
 		d := ordered[i].Demand
 		if d == 0 {
 			d = s.CommDemand(g.node)
 		}
-		commDemand += d * s.commFactor(ordered, g.node)
+		commDemand += d * factor
 	}
 
 	commAgg := 0.0
@@ -363,7 +432,7 @@ func (s *System) solveNode(ordered []Stream, g *nodeGroup, rates map[int]float64
 		if d == 0 {
 			d = s.CommDemand(g.node)
 		}
-		return d * s.commFactor(ordered, g.node)
+		return d * factor
 	})
 }
 
@@ -372,7 +441,7 @@ func (s *System) solveNode(ordered []Stream, g *nodeGroup, rates map[int]float64
 // this is an even split; with unequal demands the proportional split can
 // leave slack only when the aggregate exceeds total demand, in which case
 // every stream is granted its full demand.)
-func distribute(ordered []Stream, idx []int, agg float64, rates map[int]float64, demand func(Stream) float64) {
+func distribute(ordered []Stream, idx []int, agg float64, rates []float64, demand func(Stream) float64) {
 	if len(idx) == 0 {
 		return
 	}
@@ -382,7 +451,7 @@ func distribute(ordered []Stream, idx []int, agg float64, rates map[int]float64,
 	}
 	if total <= 0 {
 		for _, i := range idx {
-			rates[ordered[i].ID] = 0
+			rates[i] = 0
 		}
 		return
 	}
@@ -391,7 +460,7 @@ func distribute(ordered []Stream, idx []int, agg float64, rates map[int]float64,
 		scale = 1
 	}
 	for _, i := range idx {
-		rates[ordered[i].ID] = demand(ordered[i]) * scale
+		rates[i] = demand(ordered[i]) * scale
 	}
 }
 
@@ -410,8 +479,9 @@ func distribute(ordered []Stream, idx []int, agg float64, rates map[int]float64,
 // n computing cores, never below the guaranteed NIC floor. Platforms with
 // CommFloorFrac = 1 (occigen) are therefore exempt, matching the paper's
 // observation that occigen never throttles communications.
-func (s *System) applyMeshPressure(ordered []Stream, rates map[int]float64) {
-	computeNodes := make(map[topology.NodeID]bool)
+func (s *System) applyMeshPressure(ordered []Stream, rates []float64) {
+	var nodeBuf [maxStackNodes]bool
+	computeNodes := scratch(nodeBuf[:], s.plat.NNodes())
 	// Mesh occupancy is driven by the requests the cores *issue*, not
 	// by the bandwidth they are granted: a core streaming to a remote
 	// node is latency-bound and holds as many mesh slots as a local
@@ -439,21 +509,20 @@ func (s *System) applyMeshPressure(ordered []Stream, rates map[int]float64) {
 	if nCompute == 0 {
 		return
 	}
-	var cross []int
+	// A cross stream is a comm stream on a node no computation touches.
 	curSum, floorSum := 0.0, 0.0
 	for i, st := range ordered {
 		if st.Kind != KindComm || computeNodes[st.Node] {
 			continue
 		}
-		cross = append(cross, i)
-		curSum += rates[st.ID]
+		curSum += rates[i]
 		d := st.Demand
 		if d == 0 {
 			d = s.CommDemand(st.Node)
 		}
 		floorSum += s.prof.CommFloorFrac * d * s.commFactor(ordered, st.Node)
 	}
-	if len(cross) == 0 || curSum <= 0 {
+	if curSum <= 0 {
 		return
 	}
 	n := float64(nCompute)
@@ -470,28 +539,30 @@ func (s *System) applyMeshPressure(ordered []Stream, rates map[int]float64) {
 		target = 0
 	}
 	scale := target / curSum
-	for _, i := range cross {
-		rates[ordered[i].ID] *= scale
+	for i, st := range ordered {
+		if st.Kind == KindComm && !computeNodes[st.Node] {
+			rates[i] *= scale
+		}
 	}
 }
 
 // applyLinkCap enforces the inter-socket link capacity: every stream whose
 // path crosses sockets shares LinkCap; excess is removed proportionally.
-func (s *System) applyLinkCap(ordered []Stream, rates map[int]float64) {
-	var crossing []int
+func (s *System) applyLinkCap(ordered []Stream, rates []float64) {
 	totalCross := 0.0
 	for i, st := range ordered {
 		if s.crossesLink(st) {
-			crossing = append(crossing, i)
-			totalCross += rates[st.ID]
+			totalCross += rates[i]
 		}
 	}
 	if totalCross <= s.prof.LinkCap || totalCross == 0 {
 		return
 	}
 	scale := s.prof.LinkCap / totalCross
-	for _, i := range crossing {
-		rates[ordered[i].ID] *= scale
+	for i, st := range ordered {
+		if s.crossesLink(st) {
+			rates[i] *= scale
+		}
 	}
 }
 
@@ -526,20 +597,20 @@ func (s *System) Links(st Stream) []string {
 }
 
 // applyPCIeCap bounds the sum of NIC DMA streams by the PCIe capacity.
-func (s *System) applyPCIeCap(ordered []Stream, rates map[int]float64) {
-	var comm []int
+func (s *System) applyPCIeCap(ordered []Stream, rates []float64) {
 	total := 0.0
 	for i, st := range ordered {
 		if st.Kind == KindComm {
-			comm = append(comm, i)
-			total += rates[st.ID]
+			total += rates[i]
 		}
 	}
 	if total <= s.prof.PCIeCap || total == 0 {
 		return
 	}
 	scale := s.prof.PCIeCap / total
-	for _, i := range comm {
-		rates[ordered[i].ID] *= scale
+	for i, st := range ordered {
+		if st.Kind == KindComm {
+			rates[i] *= scale
+		}
 	}
 }

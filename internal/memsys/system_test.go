@@ -237,9 +237,9 @@ func TestSolveDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for id, r := range a.Rates {
-		if b.Rates[id] != r {
-			t.Fatalf("non-deterministic solve for stream %d", id)
+	for _, g := range a.grants {
+		if b.Rate(g.id) != g.rate {
+			t.Fatalf("non-deterministic solve for stream %d", g.id)
 		}
 	}
 }
@@ -338,16 +338,18 @@ func TestSolveErrors(t *testing.T) {
 	cases := []struct {
 		name    string
 		streams []Stream
+		want    string
 	}{
-		{"duplicate id", []Stream{commStream(1, 0), commStream(1, 1)}},
-		{"node out of range", []Stream{commStream(0, 99)}},
-		{"core out of range", []Stream{{ID: 0, Kind: KindCompute, Core: 99, Node: 0, Demand: 1}}},
-		{"negative demand", []Stream{{ID: 0, Kind: KindComm, Node: 0, Demand: -1}}},
-		{"unknown kind", []Stream{{ID: 0, Kind: StreamKind(9), Node: 0}}},
+		{"duplicate id", []Stream{commStream(1, 0), commStream(1, 1)}, "memsys: duplicate stream id 1"},
+		{"duplicate id, unsorted", []Stream{commStream(5, 0), commStream(2, 0), commStream(5, 1)}, "memsys: duplicate stream id 5"},
+		{"node out of range", []Stream{commStream(0, 99)}, "memsys: stream 0 targets node 99 out of range"},
+		{"core out of range", []Stream{{ID: 0, Kind: KindCompute, Core: 99, Node: 0, Demand: 1}}, "memsys: compute stream 0 issued by core 99 out of range"},
+		{"negative demand", []Stream{{ID: 0, Kind: KindComm, Node: 0, Demand: -1}}, "memsys: stream 0 has negative demand"},
+		{"unknown kind", []Stream{{ID: 0, Kind: StreamKind(9), Node: 0}}, "memsys: stream 0 has unknown kind 9"},
 	}
 	for _, c := range cases {
-		if _, err := sys.Solve(c.streams); err == nil {
-			t.Errorf("%s: expected error", c.name)
+		if _, err := sys.Solve(c.streams); err == nil || err.Error() != c.want {
+			t.Errorf("%s: err = %v, want %q", c.name, err, c.want)
 		}
 	}
 }

@@ -28,7 +28,7 @@ import (
 	"fmt"
 	"regexp"
 	"sort"
-	"strings"
+	"strconv"
 	"sync"
 )
 
@@ -98,36 +98,44 @@ func NewRegistry() *Registry {
 	return &Registry{metrics: make(map[metricKey]*metric)}
 }
 
-// labelSig builds the canonical label signature, validating label names.
-func labelSig(labels L) string {
+// sortedKeys returns the label names in ascending order (nil when there
+// are none).
+func sortedKeys(labels L) []string {
 	if len(labels) == 0 {
-		return ""
+		return nil
 	}
 	keys := make([]string, 0, len(labels))
 	for k := range labels {
-		if !labelRe.MatchString(k) {
-			panic(fmt.Sprintf("obs: invalid label name %q", k))
-		}
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
-	var b strings.Builder
+	return keys
+}
+
+// labelSig builds the canonical label signature k1="v1",k2="v2" from the
+// sorted label names.
+func labelSig(keys []string, labels L) string {
+	if len(keys) == 0 {
+		return ""
+	}
+	var b []byte
 	for i, k := range keys {
 		if i > 0 {
-			b.WriteByte(',')
+			b = append(b, ',')
 		}
-		fmt.Fprintf(&b, "%s=%q", k, labels[k])
+		b = append(b, k...)
+		b = append(b, '=')
+		b = strconv.AppendQuote(b, labels[k])
 	}
-	return b.String()
+	return string(b)
 }
 
 // lookup returns the series for (name, labels), creating it with mk when
-// absent. Kind mismatches are programming errors and panic.
+// absent. Invalid names and kind mismatches are programming errors and
+// panic.
 func (r *Registry) lookup(name, help string, kind instrumentKind, labels L, mk func(*metric)) *metric {
-	if !nameRe.MatchString(name) {
-		panic(fmt.Sprintf("obs: invalid metric name %q", name))
-	}
-	key := metricKey{name: name, labelSig: labelSig(labels)}
+	keys := sortedKeys(labels)
+	key := metricKey{name: name, labelSig: labelSig(keys, labels)}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if m, ok := r.metrics[key]; ok {
@@ -135,6 +143,16 @@ func (r *Registry) lookup(name, help string, kind instrumentKind, labels L, mk f
 			panic(fmt.Sprintf("obs: metric %q re-registered as %s (was %s)", name, kind, m.kind))
 		}
 		return m
+	}
+	// Only a first registration validates the names: every series in the
+	// map passed these checks, so a repeated lookup is a map hit.
+	if !nameRe.MatchString(name) {
+		panic(fmt.Sprintf("obs: invalid metric name %q", name))
+	}
+	for _, k := range keys {
+		if !labelRe.MatchString(k) {
+			panic(fmt.Sprintf("obs: invalid label name %q", k))
+		}
 	}
 	cp := make(L, len(labels))
 	for k, v := range labels {

@@ -114,6 +114,30 @@ func TestInvalidNamePanics(t *testing.T) {
 	r.Counter("bad name!", "", nil)
 }
 
+// TestInvalidLabelPanicsEveryTime: names are validated only on a miss,
+// and an invalid series is never stored, so every attempt panics and
+// leaves the registry untouched.
+func TestInvalidLabelPanicsEveryTime(t *testing.T) {
+	r := NewRegistry()
+	for i := 0; i < 2; i++ {
+		func() {
+			defer func() {
+				if got := recover(); got != `obs: invalid label name "bad-label"` {
+					t.Errorf("attempt %d: recovered %v", i, got)
+				}
+			}()
+			r.Counter("memcontention_test_ok_total", "", L{"bad-label": "x", "platform": "henri"})
+		}()
+	}
+	if r.Len() != 0 {
+		t.Errorf("invalid registrations left %d series", r.Len())
+	}
+	c := r.Counter("memcontention_test_ok_total", "", L{"platform": "henri"})
+	if r.Counter("memcontention_test_ok_total", "", L{"platform": "henri"}) != c {
+		t.Error("a repeated lookup must return the registered series")
+	}
+}
+
 func TestLabelsMakeDistinctSeries(t *testing.T) {
 	r := NewRegistry()
 	a := r.Gauge("memcontention_test_mape_percent", "", L{"platform": "henri"})

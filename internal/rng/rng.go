@@ -20,15 +20,17 @@ func splitmix64(state *uint64) uint64 {
 	return z ^ (z >> 31)
 }
 
-// hashString folds a label into a 64-bit key (FNV-1a).
-func hashString(s string) uint64 {
+// Hash folds a label into a 64-bit key (FNV-1a). String and byte labels
+// with the same bytes hash alike, so a label built in a byte buffer keys
+// the same stream as its string form.
+func Hash[T string | []byte](label T) uint64 {
 	const (
 		offset = 14695981039346656037
 		prime  = 1099511628211
 	)
 	h := uint64(offset)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
+	for i := 0; i < len(label); i++ {
+		h ^= uint64(label[i])
 		h *= prime
 	}
 	return h
@@ -40,21 +42,32 @@ type Stream struct {
 	state uint64
 }
 
-// New returns a stream keyed by seed and label. Streams with different
-// labels are statistically independent.
-func New(seed uint64, label string) *Stream {
-	s := &Stream{state: seed ^ hashString(label)}
+// Keyed returns, by value, the stream New(seed, label) returns for a label
+// with key Hash(label). Hot paths use it to hash a label once, or to key a
+// stream without allocating.
+func Keyed(seed, key uint64) Stream {
+	s := Stream{state: seed ^ key}
 	// Warm up so that closely related keys diverge immediately.
 	splitmix64(&s.state)
 	return s
 }
 
+// New returns a stream keyed by seed and label. Streams with different
+// labels are statistically independent.
+func New(seed uint64, label string) *Stream {
+	s := Keyed(seed, Hash(label))
+	return &s
+}
+
 // Derive returns a child stream keyed by an extra label, leaving s untouched.
 func (s *Stream) Derive(label string) *Stream {
-	c := &Stream{state: s.state ^ hashString(label)}
-	splitmix64(&c.state)
-	return c
+	c := s.DeriveKeyed(Hash(label))
+	return &c
 }
+
+// DeriveKeyed returns, by value, the child Derive(label) returns for a
+// label with key Hash(label), leaving s untouched.
+func (s *Stream) DeriveKeyed(key uint64) Stream { return Keyed(s.state, key) }
 
 // Uint64 returns the next raw 64-bit value.
 func (s *Stream) Uint64() uint64 { return splitmix64(&s.state) }

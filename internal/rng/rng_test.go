@@ -142,3 +142,24 @@ func TestJitterCentered(t *testing.T) {
 		t.Errorf("jitter mean = %v, want ≈1", sum/n)
 	}
 }
+
+func TestKeyedMatchesNewAndDerive(t *testing.T) {
+	f := func(seed uint64, label, child string) bool {
+		if Hash(label) != Hash([]byte(label)) {
+			return false
+		}
+		s := Keyed(seed, Hash([]byte(label)))
+		ref := New(seed, label)
+		if s != *ref {
+			return false
+		}
+		c := s.DeriveKeyed(Hash(child))
+		if c != *ref.Derive(child) {
+			return false
+		}
+		return c.Uint64() == ref.Derive(child).Uint64()
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
+}

@@ -5,6 +5,11 @@
 // Usage:
 //
 //	go test -bench . -benchmem -run '^$' ./... | go run ./scripts/benchjson
+//
+// Names are recorded without the "-<GOMAXPROCS>" suffix go test appends
+// on multi-core machines ("BenchmarkSolver-8" becomes "BenchmarkSolver"),
+// so documents from machines with different core counts name the same
+// benchmark alike.
 package main
 
 import (
@@ -60,7 +65,7 @@ func parse(sc *bufio.Scanner) ([]Result, error) {
 		if err != nil {
 			continue // "Benchmark..." headers without a result column
 		}
-		r := Result{Package: pkg, Name: fields[0], Iterations: iters}
+		r := Result{Package: pkg, Name: trimProcs(fields[0]), Iterations: iters}
 		for i := 2; i+1 < len(fields); i += 2 {
 			v, err := strconv.ParseFloat(fields[i], 64)
 			if err != nil {
@@ -78,4 +83,19 @@ func parse(sc *bufio.Scanner) ([]Result, error) {
 		results = append(results, r)
 	}
 	return results, sc.Err()
+}
+
+// trimProcs drops the "-<GOMAXPROCS>" suffix go test appends to a
+// benchmark name when GOMAXPROCS > 1.
+func trimProcs(name string) string {
+	i := strings.LastIndexByte(name, '-')
+	if i < 0 || i == len(name)-1 {
+		return name
+	}
+	for _, c := range name[i+1:] {
+		if c < '0' || c > '9' {
+			return name
+		}
+	}
+	return name[:i]
 }
