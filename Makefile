@@ -7,9 +7,9 @@ GO ?= go
 check: lint build race repro benchdiff ## pre-merge gate: lint + build + race tests + reproduction (+ advisory benchdiff)
 
 # lint is the static-analysis gate: go vet plus the repo's own memlint
-# suite (determinism, maprange, nilhook, durable, errhygiene, and the
-# whole-module concurrency checks lockguard/goleak/ctxflow — see
-# docs/static-analysis.md). memlint exits 0 on a clean tree, 1 on
+# suite (determinism, maprange, nilhook, durable, errhygiene, the
+# whole-module concurrency checks lockguard/goleak/ctxflow, and the
+# unreachable-code check — see docs/static-analysis.md). memlint exits 0 on a clean tree, 1 on
 # findings, 2 on usage/load errors; `go run` caches the memlint build in
 # the standard Go build cache, so repeat runs only pay for analysis.
 lint: vet memlint
@@ -23,7 +23,7 @@ memlint:
 # MEMLINT_CHECKS drives the per-check CI step: one memlint invocation
 # per analyzer, timed, so a slow or noisy check is visible in the log
 # instead of hiding inside the aggregate run.
-MEMLINT_CHECKS ?= determinism maprange nilhook durable errhygiene lockguard goleak ctxflow
+MEMLINT_CHECKS ?= determinism maprange nilhook durable errhygiene lockguard goleak ctxflow unreachable
 memlint-per-check:
 	@for c in $(MEMLINT_CHECKS); do \
 		start=$$(date +%s%N); \

@@ -1,8 +1,8 @@
 // Command memlint runs the repo's custom static-analysis suite (see
 // internal/analysis and docs/static-analysis.md): determinism, map-range
-// ordering, nil-hook safety, durable writes, error hygiene, and the
-// whole-module concurrency checks (lockguard, goleak, ctxflow), all
-// implemented on the standard library alone.
+// ordering, nil-hook safety, durable writes, error hygiene, the
+// whole-module concurrency checks (lockguard, goleak, ctxflow) and the
+// unreachable-code check, all implemented on the standard library alone.
 //
 // Usage:
 //

@@ -205,7 +205,7 @@ func TestListChecks(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("exit = %d, want 0", code)
 	}
-	for _, name := range []string{"determinism", "maprange", "nilhook", "durable", "errhygiene", "lockguard", "goleak", "ctxflow", "suppress"} {
+	for _, name := range []string{"determinism", "maprange", "nilhook", "durable", "errhygiene", "lockguard", "goleak", "ctxflow", "unreachable", "suppress"} {
 		if !strings.Contains(out, name) {
 			t.Errorf("-list missing %q:\n%s", name, out)
 		}

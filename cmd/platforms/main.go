@@ -16,6 +16,7 @@ import (
 	"path/filepath"
 
 	"memcontention"
+	"memcontention/internal/atomicio"
 	"memcontention/internal/checkpoint"
 	"memcontention/internal/eval"
 	"memcontention/internal/hwloc"
@@ -63,7 +64,7 @@ func runCLI(ctx context.Context, name string, profiles, topo bool, exportDir str
 // exportAll dumps every built-in platform and profile as JSON files that
 // membench/memmodel can load back with -platformfile/-profilefile.
 func exportAll(ctx context.Context, dir string) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	if err := atomicio.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
 	for _, p := range topology.Testbed() {

@@ -20,7 +20,10 @@
 //     "durable");
 //   - error hygiene: sentinel errors are matched with errors.Is, and
 //     fmt.Errorf wraps with %w instead of dropping the cause (check
-//     "errhygiene").
+//     "errhygiene");
+//   - no dead code: every function is reached from a main, an init, a
+//     package var or the facade's exported API, or names the test that
+//     keeps it (check "unreachable").
 //
 // A finding that is intentional is silenced in place with
 //
@@ -41,7 +44,6 @@ import (
 	"go/token"
 	"go/types"
 	"sort"
-	"strings"
 )
 
 // Diagnostic is one finding, located by file position and attributed to
@@ -90,6 +92,7 @@ type module struct {
 	pkgs  []*Package
 	graph *CallGraph
 	conc  *concFacts
+	dead  *[]modDiag // unreachable findings, computed on first use
 }
 
 func (m *module) callGraph() *CallGraph {
@@ -155,7 +158,6 @@ func DefaultConfig() *Config {
 			"memcontention/internal/obs.Counter",
 			"memcontention/internal/obs.Gauge",
 			"memcontention/internal/obs.Histogram",
-			"memcontention/internal/obs.Span",
 			"memcontention/internal/trace.Recorder",
 			"memcontention/internal/prof.Profiler",
 			"memcontention/internal/faults.Plan",
@@ -217,6 +219,7 @@ func Analyzers() []*Analyzer {
 		LockGuardAnalyzer,
 		GoLeakAnalyzer,
 		CtxFlowAnalyzer,
+		UnreachableAnalyzer,
 	}
 }
 
@@ -353,13 +356,4 @@ func stringSet(ss []string) map[string]bool {
 		m[s] = true
 	}
 	return m
-}
-
-// splitQualified splits "importpath.Name" on the final dot.
-func splitQualified(q string) (pkgPath, name string) {
-	i := strings.LastIndex(q, ".")
-	if i < 0 {
-		return "", q
-	}
-	return q[:i], q[i+1:]
 }

@@ -284,8 +284,18 @@ func TestRunDeterministic(t *testing.T) {
 // TestCheckNames pins the accepted //memlint:allow vocabulary.
 func TestCheckNames(t *testing.T) {
 	got := CheckNames(Analyzers())
-	want := []string{"ctxflow", "determinism", "durable", "errhygiene", "goleak", "lockguard", "maprange", "nilhook", "suppress"}
+	want := []string{"ctxflow", "determinism", "durable", "errhygiene", "goleak", "lockguard", "maprange", "nilhook", "suppress", "unreachable"}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("CheckNames = %v, want %v", got, want)
 	}
+}
+
+// TestUnreachableFixture exercises the reachability analyzer: every
+// kind of root and edge keeps its function silent, dead code (a chain
+// included) fires, an allowance roots its function and callees, and an
+// allowance on reached code goes stale.
+func TestUnreachableFixture(t *testing.T) {
+	dir := fixtureDir(t, "unreachable")
+	diags := RunFixture(t, dir, &Config{}, UnreachableAnalyzer)
+	checkGolden(t, "unreachable", dir, diags)
 }

@@ -13,6 +13,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"testing"
 )
 
 // The fixture harness is an analysistest-style runner built on the same
@@ -28,15 +29,6 @@ import (
 // expectation and any unexpected diagnostic, so every fixture proves
 // both that its analyzer fires and that it stays silent on conforming
 // code in the same package.
-
-// TB is the subset of *testing.T the harness needs (an interface so the
-// harness itself stays in the non-test build and memlint's own fixtures
-// can reuse it).
-type TB interface {
-	Helper()
-	Errorf(format string, args ...any)
-	Fatalf(format string, args ...any)
-}
 
 var wantRe = regexp.MustCompile(`//\s*want((?:\s+"(?:[^"\\]|\\.)*")+)`)
 var wantArgRe = regexp.MustCompile(`"(?:[^"\\]|\\.)*"`)
@@ -122,7 +114,7 @@ func collectWants(pkg *Package) ([]*expectation, error) {
 // fixture package in dir and checks the diagnostics against the
 // fixture's // want comments. It returns the diagnostics so callers can
 // additionally golden-test the rendered output.
-func RunFixture(t TB, dir string, cfg *Config, analyzers ...*Analyzer) []Diagnostic {
+func RunFixture(t *testing.T, dir string, cfg *Config, analyzers ...*Analyzer) []Diagnostic {
 	t.Helper()
 	pkg, err := LoadFixture(dir)
 	if err != nil {
@@ -171,8 +163,7 @@ func RenderDiagnostics(diags []Diagnostic, base string) string {
 	return b.String()
 }
 
-// sortedChecks lists the distinct checks present in diags (report
-// summaries in memlint and tests).
+// SortedChecks lists the distinct checks present in diags.
 func SortedChecks(diags []Diagnostic) []string {
 	seen := make(map[string]bool)
 	for _, d := range diags {

@@ -43,15 +43,11 @@ func collectSuppressions(pkg *Package, known map[string]bool, report func(token.
 	for _, file := range pkg.Files {
 		for _, cg := range file.Comments {
 			for _, c := range cg.List {
-				text := strings.TrimPrefix(c.Text, "//")
-				text = strings.TrimPrefix(text, "/*")
-				text = strings.TrimSpace(strings.TrimSuffix(text, "*/"))
-				rest, ok := strings.CutPrefix(text, allowPrefix)
+				check, reason, ok := allowText(c)
 				if !ok {
 					continue
 				}
-				s := parseAllow(pkg, c, rest, known, report)
-				if s != nil {
+				if s := parseAllow(pkg, c, check, reason, known, report); s != nil {
 					sups = append(sups, s)
 				}
 			}
@@ -60,10 +56,18 @@ func collectSuppressions(pkg *Package, known map[string]bool, report func(token.
 	return sups
 }
 
-// parseAllow validates one suppression body (" <check> — <reason>").
-func parseAllow(pkg *Package, c *ast.Comment, rest string, known map[string]bool, report func(token.Pos, string, ...any)) *suppression {
+// allowText splits a //memlint:allow comment into the check it names
+// and its reason; ok is false when c is not an allowance at all.
+func allowText(c *ast.Comment) (check, reason string, ok bool) {
+	text := strings.TrimPrefix(c.Text, "//")
+	text = strings.TrimPrefix(text, "/*")
+	text = strings.TrimSpace(strings.TrimSuffix(text, "*/"))
+	rest, ok := strings.CutPrefix(text, allowPrefix)
+	if !ok {
+		return "", "", false
+	}
 	rest = strings.TrimSpace(rest)
-	check, reason := rest, ""
+	check = rest
 	for _, sep := range []string{"—", "–", "--"} {
 		if i := strings.Index(rest, sep); i >= 0 {
 			check = strings.TrimSpace(rest[:i])
@@ -71,6 +75,11 @@ func parseAllow(pkg *Package, c *ast.Comment, rest string, known map[string]bool
 			break
 		}
 	}
+	return check, reason, true
+}
+
+// parseAllow validates one suppression's check and reason.
+func parseAllow(pkg *Package, c *ast.Comment, check, reason string, known map[string]bool, report func(token.Pos, string, ...any)) *suppression {
 	switch {
 	case check == "":
 		report(c.Pos(), "malformed //memlint:allow: missing check name (want \"//memlint:allow <check> — <reason>\")")

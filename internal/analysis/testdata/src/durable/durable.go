@@ -28,6 +28,13 @@ func Scratch(path string, data []byte) error {
 	return os.WriteFile(path, data, 0o600)
 }
 
+// SpanDir creates a journal's side directory in place — flagged: after
+// a power loss the directory, and every file written into it, can be
+// gone while the journal that names it survives.
+func SpanDir(dir string) error {
+	return os.MkdirAll(dir, 0o755) // want "direct os.MkdirAll can lose the new directory on crash"
+}
+
 // ReadBack only reads — silent.
 func ReadBack(path string) ([]byte, error) {
 	return os.ReadFile(path)

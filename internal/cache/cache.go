@@ -53,6 +53,8 @@ type Config struct {
 }
 
 // Validate checks the configuration.
+//
+//memlint:allow unreachable — TestLLCFor and TestConfigValidate check every E12 configuration
 func (c Config) Validate() error {
 	if c.SizeMiB <= 0 {
 		return fmt.Errorf("cache: non-positive LLC size %d MiB", c.SizeMiB)
@@ -81,6 +83,8 @@ func (c Config) DemandFactor(k kernels.Kernel, n int, perCoreWS units.ByteSize) 
 // streams are untouched: NIC DMA data is not reused by the cores in the
 // benchmark, and DDIO effects are out of scope like the rest of the cache
 // behaviour. The input slice is not modified.
+//
+//memlint:allow unreachable — BenchmarkExtensionCache (E12) filters streams through the LLC
 func (c Config) FilterStreams(streams []memsys.Stream, k kernels.Kernel, perCoreWS units.ByteSize) []memsys.Stream {
 	nCompute := 0
 	for _, st := range streams {
@@ -104,6 +108,8 @@ func (c Config) FilterStreams(streams []memsys.Stream, k kernels.Kernel, perCore
 
 // LLCFor returns a plausible LLC configuration for the testbed platforms
 // (per-socket sizes from public specs).
+//
+//memlint:allow unreachable — BenchmarkExtensionCache (E12) sizes the LLC per platform
 func LLCFor(platform string) Config {
 	switch platform {
 	case "henri", "henri-subnuma":

@@ -50,14 +50,9 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Calibrate computes one model instantiation (M_local or M_remote) from
-// the benchmark curve of the corresponding sample placement, with default
-// options.
-func Calibrate(curve *bench.Curve) (model.Params, error) {
-	return CalibrateWith(curve, Options{})
-}
-
-// CalibrateWith is Calibrate with explicit heuristics.
+// CalibrateWith computes one model instantiation (M_local or M_remote)
+// from the benchmark curve of the corresponding sample placement, with
+// the given heuristics (the zero Options selects the defaults).
 func CalibrateWith(curve *bench.Curve, opts Options) (model.Params, error) {
 	opts = opts.withDefaults()
 	if curve == nil || len(curve.Points) == 0 {

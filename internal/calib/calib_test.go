@@ -40,7 +40,7 @@ func refParams() model.Params {
 
 func TestCalibrateRecoversKnownParams(t *testing.T) {
 	want := refParams()
-	got, err := Calibrate(syntheticCurve(want, 18))
+	got, err := CalibrateWith(syntheticCurve(want, 18), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestCalibratePredictionFixedPoint(t *testing.T) {
 	// reproduce it closely (the pipeline is approximately idempotent).
 	want := refParams()
 	curve := syntheticCurve(want, 18)
-	got, err := Calibrate(curve)
+	got, err := CalibrateWith(curve, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestCalibrateNoContentionPlatform(t *testing.T) {
 			N: n, CompAlone: comp, CommAlone: 12, CompPar: comp, CommPar: 12,
 		})
 	}
-	p, err := Calibrate(&c)
+	p, err := CalibrateWith(&c, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,22 +113,22 @@ func TestCalibrateNoContentionPlatform(t *testing.T) {
 }
 
 func TestCalibrateErrors(t *testing.T) {
-	if _, err := Calibrate(nil); err == nil {
+	if _, err := CalibrateWith(nil, Options{}); err == nil {
 		t.Error("nil curve must fail")
 	}
-	if _, err := Calibrate(&bench.Curve{}); err == nil {
+	if _, err := CalibrateWith(&bench.Curve{}, Options{}); err == nil {
 		t.Error("empty curve must fail")
 	}
 	sparse := syntheticCurve(refParams(), 18)
 	sparse.Points = append(sparse.Points[:3], sparse.Points[5:]...) // hole at n=4
-	if _, err := Calibrate(sparse); err == nil {
+	if _, err := CalibrateWith(sparse, Options{}); err == nil {
 		t.Error("non-dense n coverage must fail")
 	}
 	zero := syntheticCurve(refParams(), 18)
 	for i := range zero.Points {
 		zero.Points[i].CommAlone = 0
 	}
-	if _, err := Calibrate(zero); err == nil {
+	if _, err := CalibrateWith(zero, Options{}); err == nil {
 		t.Error("zero comm bandwidth must fail")
 	}
 }
@@ -215,7 +215,7 @@ func TestCalibrateWithOptions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := Calibrate(syntheticCurve(want, 18))
+	ref, err := CalibrateWith(syntheticCurve(want, 18), Options{PlateauTol: DefaultPlateauTol})
 	if err != nil {
 		t.Fatal(err)
 	}

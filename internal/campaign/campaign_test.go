@@ -329,7 +329,7 @@ func TestCrossCheckSpanStitchResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer jRef.Close()
-	pRef := prof.New()
+	pRef := prof.Attach(nil)
 	run(jRef, pRef, prof.NewSpanStore(filepath.Join(dir, "ref.journal.spans")), 2)
 	want := encode(pRef)
 	if len(want) == 0 {
@@ -343,7 +343,7 @@ func TestCrossCheckSpanStitchResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run(j1, prof.New(), store, 1)
+	run(j1, prof.Attach(nil), store, 1)
 	if err := j1.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -353,7 +353,7 @@ func TestCrossCheckSpanStitchResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p2 := prof.New()
+	p2 := prof.Attach(nil)
 	run(j2, p2, store, 2)
 	if err := j2.Close(); err != nil {
 		t.Fatal(err)
@@ -369,7 +369,7 @@ func TestCrossCheckSpanStitchResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer j3.Close()
-	p3 := prof.New()
+	p3 := prof.Attach(nil)
 	run(j3, p3, store, 2)
 	if !bytes.Equal(encode(p3), want) {
 		t.Error("fully cached replay differs from uninterrupted recording")

@@ -80,7 +80,7 @@ type Event struct {
 	// merged fleet timeline.
 	Seq uint64 `json:"seq"`
 	// TimeUnixNano is the event instant on the writer's injected clock
-	// (wall clock in production, obs.SimClock in tests).
+	// (wall clock in production, a fake clock's Now in tests).
 	TimeUnixNano int64 `json:"time_unix_nano"`
 	// Type classifies the event.
 	Type EventType `json:"type"`
@@ -287,14 +287,6 @@ func OpenEventLog(dir, worker string, clock obs.Clock) (*EventLog, error) {
 		return nil, fmt.Errorf("campaign: event log %s: %w", path, err)
 	}
 	return &EventLog{path: path, f: f, worker: worker, clock: clock, seq: seq}, nil
-}
-
-// Worker reports the writer id ("" on nil).
-func (l *EventLog) Worker() string {
-	if l == nil {
-		return ""
-	}
-	return l.worker
 }
 
 // Emit appends one event, stamped with the log's clock and the next

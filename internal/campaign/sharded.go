@@ -67,7 +67,7 @@ type ShardOptions struct {
 	// throwaway temp-dir runs emit nothing.
 	Worker string
 	// Clock drives the fleet plane's timestamps and the lease heartbeats
-	// (nil: obs.WallClock; tests inject obs.SimClock for
+	// (nil: obs.WallClock; tests inject a fake clock's Now for
 	// byte-deterministic beacons).
 	Clock obs.Clock
 }

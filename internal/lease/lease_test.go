@@ -378,30 +378,6 @@ func TestSplitClaimEpochUniqueness(t *testing.T) {
 	}
 }
 
-func TestShardsListing(t *testing.T) {
-	clock := newManualClock()
-	dir := t.TempDir()
-	m := mustManager(t, testConfig(t, dir, clock, "owner-a"))
-	for _, s := range []int{3, 0, 7} {
-		if _, err := m.Acquire(s, 0); err != nil {
-			t.Fatal(err)
-		}
-	}
-	got, err := m.Shards()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []int{0, 3, 7}
-	if len(got) != len(want) {
-		t.Fatalf("Shards() = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Shards() = %v, want %v", got, want)
-		}
-	}
-}
-
 func TestReleaseLeavesForeignLease(t *testing.T) {
 	clock := newManualClock()
 	dir := t.TempDir()

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -175,9 +174,6 @@ func (m *Manager) Owner() Owner { return m.cfg.Owner }
 
 // Heartbeat reports the configured renewal interval.
 func (m *Manager) Heartbeat() time.Duration { return m.cfg.Heartbeat }
-
-// TTL reports the configured time-to-live.
-func (m *Manager) TTL() time.Duration { return m.cfg.TTL }
 
 // Path returns the lease file path of shard i.
 func (m *Manager) Path(shard int) string {
@@ -505,29 +501,4 @@ func (h *Held) Release() error {
 		return fmt.Errorf("lease: release shard %d: %w", h.shard, err)
 	}
 	return nil
-}
-
-// Shards lists every shard index that currently has a lease file under
-// the manager's directory, sorted — a cheap overview for progress
-// reporting and the failure matrix in docs/campaigns.md.
-func (m *Manager) Shards() ([]int, error) {
-	entries, err := os.ReadDir(m.cfg.Dir)
-	if err != nil {
-		return nil, fmt.Errorf("lease: scan %s: %w", m.cfg.Dir, err)
-	}
-	var shards []int
-	for _, e := range entries {
-		name := e.Name()
-		if e.IsDir() || !strings.HasPrefix(name, "shard-") || !strings.HasSuffix(name, ".lease") {
-			continue
-		}
-		num := strings.TrimSuffix(strings.TrimPrefix(name, "shard-"), ".lease")
-		n, err := strconv.Atoi(num)
-		if err != nil || n < 0 {
-			continue
-		}
-		shards = append(shards, n)
-	}
-	sort.Ints(shards)
-	return shards, nil
 }

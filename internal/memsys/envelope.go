@@ -72,9 +72,6 @@ func (e Envelope) At(n float64) float64 {
 	return v
 }
 
-// Flat returns a constant-capacity envelope.
-func Flat(cap float64) Envelope { return Envelope{Plateau: cap} }
-
 // Validate checks envelope invariants.
 func (e Envelope) Validate() error {
 	for _, f := range [...]float64{e.Plateau, e.Slope1, e.Slope2, e.Knee1, e.Knee2, e.Soft} {

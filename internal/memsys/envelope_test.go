@@ -9,10 +9,10 @@ import (
 func almost(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 
 func TestEnvelopeFlat(t *testing.T) {
-	e := Flat(50)
+	e := Envelope{Plateau: 50}
 	for _, n := range []float64{0, 1, 10, 100} {
 		if e.At(n) != 50 {
-			t.Errorf("Flat(50).At(%v) = %v", n, e.At(n))
+			t.Errorf("flat envelope At(%v) = %v, want 50", n, e.At(n))
 		}
 	}
 }

@@ -329,12 +329,3 @@ func DefaultProfile(plat *topology.Platform) *Profile {
 	}
 	return prof
 }
-
-// Profiles lists the platform names with a built-in hardware profile.
-func Profiles() []string {
-	names := make([]string, 0, len(profiles))
-	for n := range profiles {
-		names = append(names, n)
-	}
-	return names
-}

@@ -44,11 +44,10 @@ func TestProfileForReturnsCopy(t *testing.T) {
 }
 
 func TestProfilesListsAll(t *testing.T) {
-	names := Profiles()
-	if len(names) != 6 {
-		t.Errorf("Profiles() lists %d entries, want 6", len(names))
+	if len(profiles) != 6 {
+		t.Errorf("profile table lists %d entries, want 6", len(profiles))
 	}
-	for _, n := range names {
+	for n := range profiles {
 		if _, err := ProfileFor(n); err != nil {
 			t.Errorf("listed profile %q not loadable: %v", n, err)
 		}
@@ -115,7 +114,7 @@ func TestNominalCommOutOfRange(t *testing.T) {
 // TestProfileShapeConsistency checks cross-field relationships the
 // simulator's realism depends on.
 func TestProfileShapeConsistency(t *testing.T) {
-	for _, name := range Profiles() {
+	for _, name := range topology.Names() {
 		prof, err := ProfileFor(name)
 		if err != nil {
 			t.Fatal(err)

@@ -96,7 +96,7 @@ func TestCommAloneNominal(t *testing.T) {
 
 func TestCommFloorGuaranteed(t *testing.T) {
 	// §II-A: a minimal bandwidth is always available for communications.
-	for _, name := range Profiles() {
+	for _, name := range topology.Names() {
 		plat, err := topology.ByName(name)
 		if err != nil {
 			t.Fatal(err)

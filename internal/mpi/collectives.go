@@ -258,14 +258,3 @@ func (c *Ctx) checkRoot(root int) error {
 	}
 	return nil
 }
-
-// Sum is the canonical Reduce/Allreduce operator.
-func Sum(a, b float64) float64 { return a + b }
-
-// Max is a Reduce/Allreduce operator.
-func Max(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
-}

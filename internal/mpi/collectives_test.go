@@ -39,7 +39,7 @@ func TestReduceSum(t *testing.T) {
 	sim, w := newWorld(t, 2, 2)
 	results := make([]float64, 4)
 	run(t, sim, w, func(c *Ctx) {
-		v, err := c.Reduce(0, units.MiB, 0, float64(c.Rank()+1), Sum)
+		v, err := c.Reduce(0, units.MiB, 0, float64(c.Rank()+1), sum)
 		if err != nil {
 			t.Error(err)
 			return
@@ -60,7 +60,7 @@ func TestReduceMaxNonRootRoot(t *testing.T) {
 	sim, w := newWorld(t, 3, 1)
 	var atRoot float64
 	run(t, sim, w, func(c *Ctx) {
-		v, err := c.Reduce(2, units.KiB, 0, float64(10*(c.Rank()+1)), Max)
+		v, err := c.Reduce(2, units.KiB, 0, float64(10*(c.Rank()+1)), maxOf)
 		if err != nil {
 			t.Error(err)
 			return
@@ -78,7 +78,7 @@ func TestAllreduce(t *testing.T) {
 	sim, w := newWorld(t, 2, 2)
 	results := make([]float64, 4)
 	run(t, sim, w, func(c *Ctx) {
-		v, err := c.Allreduce(units.MiB, 0, float64(c.Rank()), Sum)
+		v, err := c.Allreduce(units.MiB, 0, float64(c.Rank()), sum)
 		if err != nil {
 			t.Error(err)
 			return
@@ -183,7 +183,7 @@ func TestCollectiveRootValidation(t *testing.T) {
 		if _, err := c.Bcast(9, units.KiB, 0, nil); err == nil {
 			t.Error("invalid Bcast root accepted")
 		}
-		if _, err := c.Reduce(-1, units.KiB, 0, 0, Sum); err == nil {
+		if _, err := c.Reduce(-1, units.KiB, 0, 0, sum); err == nil {
 			t.Error("invalid Reduce root accepted")
 		}
 		if _, err := c.Reduce(0, units.KiB, 0, 0, nil); err == nil && c.Rank() == 0 {
@@ -227,14 +227,8 @@ func TestBcastTimeScalesLogarithmically(t *testing.T) {
 	}
 }
 
-func TestOperators(t *testing.T) {
-	if Sum(2, 3) != 5 {
-		t.Error("Sum broken")
-	}
-	if Max(2, 3) != 3 || Max(3, 2) != 3 {
-		t.Error("Max broken")
-	}
-	if math.IsNaN(Sum(0, 0)) {
-		t.Error("unexpected NaN")
-	}
-}
+// sum and maxOf are the Reduce/Allreduce operators the tests combine
+// values with.
+func sum(a, b float64) float64 { return a + b }
+
+func maxOf(a, b float64) float64 { return math.Max(a, b) }

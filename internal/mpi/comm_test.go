@@ -177,7 +177,7 @@ func TestCommCollectives(t *testing.T) {
 			return
 		}
 		// Reduce comm-local ranks: 0+1+2 = 3 in each group.
-		v, err := comm.Reduce(0, units.KiB, 0, float64(comm.Rank()), Sum)
+		v, err := comm.Reduce(0, units.KiB, 0, float64(comm.Rank()), sum)
 		if err != nil {
 			t.Error(err)
 			return

@@ -1,7 +1,7 @@
 // Package obs is the repo's telemetry subsystem: a registry of typed
-// instruments (counters, gauges, log-bucketed histograms), phase-timing
-// spans, run manifests, and exporters rendering a registry as Prometheus
-// text exposition format or as stable JSON.
+// instruments (counters, gauges, log-bucketed histograms), the causal
+// span recorder interface, run manifests, and exporters rendering a
+// registry as Prometheus text exposition format or as stable JSON.
 //
 // The package is dependency-free (standard library only) and designed so
 // instrumentation is zero-cost when disabled: every method is safe on a

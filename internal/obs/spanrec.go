@@ -30,9 +30,6 @@ type SpanAttrs struct {
 	Links []string
 }
 
-// NoRank returns attrs for spans that are not rank- or node-scoped.
-func NoRank() SpanAttrs { return SpanAttrs{Rank: -1, Node: -1} }
-
 // SpanRecorder receives causal span lifecycle events from the simulation
 // layers: the engine's flow manager (memory flows), simnet (fabric
 // transfers) and MPI (operations, barriers, compute phases, ranks). A nil

@@ -24,16 +24,12 @@ type Chart struct {
 	Width  int // plot area columns (default 60)
 	Height int // plot area rows (default 12)
 	series []Series
-	yMax   float64 // 0 = auto
 }
 
 // New creates a chart.
 func New(title string) *Chart {
 	return &Chart{Title: title, Width: 60, Height: 12}
 }
-
-// YMax fixes the Y scale (0 reverts to auto).
-func (c *Chart) YMax(v float64) *Chart { c.yMax = v; return c }
 
 // Add appends a series. Series with nil/empty Y are ignored at render.
 func (c *Chart) Add(s Series) *Chart {
@@ -50,16 +46,14 @@ func (c *Chart) Render() string {
 	if h < 4 {
 		h = 4
 	}
-	nMax, yMax := 0, c.yMax
+	nMax, yMax := 0, 0.0
 	for _, s := range c.series {
 		if len(s.Y) > nMax {
 			nMax = len(s.Y)
 		}
-		if c.yMax == 0 {
-			for _, v := range s.Y {
-				if v > yMax {
-					yMax = v
-				}
+		for _, v := range s.Y {
+			if v > yMax {
+				yMax = v
 			}
 		}
 	}

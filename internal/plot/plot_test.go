@@ -31,10 +31,10 @@ func TestRenderEmpty(t *testing.T) {
 }
 
 func TestRenderScale(t *testing.T) {
-	// A fixed YMax changes the axis label.
-	out := New("scaled").YMax(100).Add(Series{Y: []float64{10, 20}}).Render()
+	// The axis label is the largest value across series plus headroom.
+	out := New("scaled").Add(Series{Y: []float64{10, 20}}).Add(Series{Y: []float64{100}}).Render()
 	if !strings.Contains(out, "105.0") { // 100 × 1.05 headroom
-		t.Errorf("fixed scale not applied:\n%s", out)
+		t.Errorf("scale not taken from the largest value:\n%s", out)
 	}
 }
 

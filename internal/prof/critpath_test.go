@@ -35,7 +35,7 @@ func profiledClusterRun(t testing.TB, platform string) (*Profiler, float64) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := New()
+	p := Attach(nil)
 	var machines []*simnet.Machine
 	for i := 0; i < 2; i++ {
 		m, err := simnet.NewMachine(sim, i, plat, hw)
@@ -202,12 +202,12 @@ func TestTraceRoundTripAnalyses(t *testing.T) {
 }
 
 func TestIngestAdvancesSpanIDs(t *testing.T) {
-	p := New()
+	p := Attach(nil)
 	p.Ingest([]trace.Event{
-		{At: 0, Kind: trace.SpanBegin, Span: 5, Label: "old", Cat: "rank", Attrs: obs.NoRank()},
+		{At: 0, Kind: trace.SpanBegin, Span: 5, Label: "old", Cat: "rank", Attrs: obs.SpanAttrs{Rank: -1, Node: -1}},
 		{At: 1, Kind: trace.SpanEnd, Span: 5},
 	})
-	if id := p.BeginSpan(0, "new", "rank", 2, obs.NoRank()); id != 6 {
+	if id := p.BeginSpan(0, "new", "rank", 2, obs.SpanAttrs{Rank: -1, Node: -1}); id != 6 {
 		t.Errorf("span id after ingest = %d, want 6", id)
 	}
 }

@@ -29,9 +29,6 @@ type Profiler struct {
 	next obs.SpanID
 }
 
-// New creates a profiler recording into a fresh recorder.
-func New() *Profiler { return Attach(trace.NewRecorder()) }
-
 // Attach creates a profiler recording into rec (nil allocates a fresh
 // recorder). Sharing a recorder lets spans interleave with events other
 // producers append.

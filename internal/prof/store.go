@@ -26,9 +26,6 @@ type SpanStore struct {
 // NewSpanStore opens (creating on first Save) a span store rooted at dir.
 func NewSpanStore(dir string) *SpanStore { return &SpanStore{dir: dir} }
 
-// Dir reports the store's root directory.
-func (s *SpanStore) Dir() string { return s.dir }
-
 // path maps a journal key to its span file.
 func (s *SpanStore) path(key string) string {
 	sum := sha256.Sum256([]byte(key))
@@ -39,7 +36,7 @@ func (s *SpanStore) path(key string) string {
 // or empty slice records an empty file, so resume distinguishes "unit
 // recorded nothing" from "no span file".
 func (s *SpanStore) Save(key string, events []trace.Event) error {
-	if err := os.MkdirAll(s.dir, 0o755); err != nil {
+	if err := atomicio.MkdirAll(s.dir, 0o755); err != nil {
 		return fmt.Errorf("prof: span store: %w", err)
 	}
 	var buf bytes.Buffer

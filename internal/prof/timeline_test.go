@@ -31,7 +31,7 @@ func calibrationRun(t *testing.T, platform string, compNode, commNode int) *Prof
 	}
 	sim := engine.NewSim()
 	flows := engine.NewFlows(sim, sys)
-	p := New()
+	p := Attach(nil)
 	flows.SetObserver(p)
 	flows.SetSpanRecorder(p)
 	sim.Spawn("main", func(pr *engine.Proc) {

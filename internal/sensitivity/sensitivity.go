@@ -41,6 +41,8 @@ type SeedStudy struct {
 }
 
 // AcrossSeeds calibrates and evaluates cfg once per seed (in parallel).
+//
+//memlint:allow unreachable — BenchmarkSensitivitySeeds (E15)
 func AcrossSeeds(cfg bench.Config, seeds []uint64) (*SeedStudy, error) {
 	if len(seeds) == 0 {
 		return nil, fmt.Errorf("sensitivity: no seeds")
@@ -84,6 +86,8 @@ var paramAccessors = []struct {
 
 // ParamSpread reports the spread of the local (or remote) instantiation's
 // parameters across the study's runs.
+//
+//memlint:allow unreachable — BenchmarkSensitivitySeeds (E15)
 func (s *SeedStudy) ParamSpread(remote bool) []ParamStat {
 	out := make([]ParamStat, 0, len(paramAccessors))
 	for _, acc := range paramAccessors {
@@ -105,6 +109,8 @@ func (s *SeedStudy) ParamSpread(remote bool) []ParamStat {
 }
 
 // ErrorSpread reports mean and worst-case prediction errors across seeds.
+//
+//memlint:allow unreachable — BenchmarkSensitivitySeeds (E15)
 func (s *SeedStudy) ErrorSpread() (meanAvg, maxAvg float64) {
 	var avgs []float64
 	for _, e := range s.Errors {
@@ -116,6 +122,8 @@ func (s *SeedStudy) ErrorSpread() (meanAvg, maxAvg float64) {
 }
 
 // SpreadTable renders a ParamSpread.
+//
+//memlint:allow unreachable — BenchmarkSensitivitySeeds (E15)
 func SpreadTable(platform string, spread []ParamStat) *export.Table {
 	t := export.NewTable(
 		fmt.Sprintf("Calibration stability on %s (across seeds)", platform),
@@ -141,6 +149,8 @@ type NoisePoint struct {
 // AcrossNoise evaluates the platform at scaled measurement-noise levels.
 // cfg.Profile must be nil (built-in platforms) — the study derives scaled
 // copies of the hand-tuned profile.
+//
+//memlint:allow unreachable — BenchmarkSensitivityNoise (E15)
 func AcrossNoise(cfg bench.Config, factors []float64) ([]NoisePoint, error) {
 	if len(factors) == 0 {
 		return nil, fmt.Errorf("sensitivity: no noise factors")
@@ -180,6 +190,8 @@ func AcrossNoise(cfg bench.Config, factors []float64) ([]NoisePoint, error) {
 }
 
 // NoiseTable renders an AcrossNoise study.
+//
+//memlint:allow unreachable — BenchmarkSensitivityNoise (E15)
 func NoiseTable(platform string, points []NoisePoint) *export.Table {
 	t := export.NewTable(
 		fmt.Sprintf("Prediction error vs measurement noise on %s", platform),

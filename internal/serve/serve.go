@@ -218,13 +218,6 @@ func New(opts Options) (*Server, error) {
 	return s, nil
 }
 
-// Registry exposes the server's metrics registry (for exit-time
-// artifacts).
-func (s *Server) Registry() *obs.Registry { return s.reg }
-
-// Probe exposes the readiness probe.
-func (s *Server) Probe() *obs.Probe { return s.probe }
-
 // Handler returns the full route set: prediction API plus live plane.
 func (s *Server) Handler() http.Handler { return s.mux }
 

@@ -319,7 +319,7 @@ func TestGracefulDrain(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("Serve did not drain within 5s")
 	}
-	if s.Probe().Ready() {
+	if s.probe.Ready() {
 		t.Error("probe still ready after drain")
 	}
 	if _, err := net.DialTimeout("tcp", ln.Addr().String(), 200*time.Millisecond); err == nil {

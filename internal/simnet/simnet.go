@@ -145,15 +145,6 @@ func (f *Fabric) Attach(m *Machine) error {
 	return nil
 }
 
-// Machine returns an attached machine by id.
-func (f *Fabric) Machine(id int) (*Machine, error) {
-	m, ok := f.machines[id]
-	if !ok {
-		return nil, fmt.Errorf("simnet: unknown machine %d", id)
-	}
-	return m, nil
-}
-
 // Transfer describes one message movement between machines.
 type Transfer struct {
 	Src, Dst         *Machine
@@ -171,21 +162,6 @@ type Result struct {
 	Start, End float64
 	// AvgRate is the end-to-end average bandwidth including latency.
 	AvgRate units.Bandwidth
-}
-
-// Deliver performs a transfer and blocks the calling process until the
-// data has fully landed in the destination memory.
-func (f *Fabric) Deliver(p *engine.Proc, t Transfer) (Result, error) {
-	resCh := make(chan Result, 1)
-	errCh := make(chan error, 1)
-	sig := f.sim.NewSignal()
-	f.DeliverAsync(t, func(r Result, err error) {
-		resCh <- r
-		errCh <- err
-		sig.Fire()
-	})
-	sig.Wait(p)
-	return <-resCh, <-errCh
 }
 
 // DeliverAsync performs a transfer and invokes done (in scheduler context)

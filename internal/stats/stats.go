@@ -7,7 +7,6 @@ package stats
 import (
 	"errors"
 	"math"
-	"sort"
 )
 
 // ErrEmpty is returned by functions that need at least one sample.
@@ -51,15 +50,6 @@ func Max(xs []float64) (float64, int) {
 		}
 	}
 	return m, idx
-}
-
-// Sum returns the sum of xs.
-func Sum(xs []float64) float64 {
-	s := 0.0
-	for _, x := range xs {
-		s += x
-	}
-	return s
 }
 
 // StdDev returns the population standard deviation of xs (0 for n < 2).
@@ -121,21 +111,6 @@ func MeanCI95(xs []float64) (mean, half float64) {
 	return mean, t * SampleStdDev(xs) / math.Sqrt(float64(n))
 }
 
-// Median returns the median of xs (mean of the two middle elements for even
-// lengths). It does not modify xs. Empty input returns 0.
-func Median(xs []float64) float64 {
-	n := len(xs)
-	if n == 0 {
-		return 0
-	}
-	cp := append([]float64(nil), xs...)
-	sort.Float64s(cp)
-	if n%2 == 1 {
-		return cp[n/2]
-	}
-	return (cp[n/2-1] + cp[n/2]) / 2
-}
-
 // MAPE computes the paper's prediction-error metric (§IV-B):
 //
 //	100%/n × Σ |actual_k − predicted_k| / |actual_k|
@@ -161,30 +136,6 @@ func MAPE(actual, predicted []float64) (float64, error) {
 	return 100 * sum / float64(n), nil
 }
 
-// LinearFit fits y = a + b·x by least squares and returns (a, b).
-// It requires at least two points with distinct x values.
-func LinearFit(xs, ys []float64) (a, b float64, err error) {
-	if len(xs) != len(ys) {
-		return 0, 0, errors.New("stats: LinearFit length mismatch")
-	}
-	if len(xs) < 2 {
-		return 0, 0, ErrEmpty
-	}
-	mx, my := Mean(xs), Mean(ys)
-	var sxx, sxy float64
-	for i := range xs {
-		dx := xs[i] - mx
-		sxx += dx * dx
-		sxy += dx * (ys[i] - my)
-	}
-	if sxx == 0 {
-		return 0, 0, errors.New("stats: LinearFit degenerate x")
-	}
-	b = sxy / sxx
-	a = my - b*mx
-	return a, b, nil
-}
-
 // ArgmaxTolerant returns the index of the *first* element whose value is
 // within relTol (relative) of the global maximum. The paper's calibration
 // "mostly looks for minima and maxima" on noisy plateaus; picking the first
@@ -205,26 +156,6 @@ func ArgmaxTolerant(xs []float64, relTol float64) int {
 		}
 	}
 	return idx
-}
-
-// ArgmaxLastTolerant returns the index of the *last* element within relTol of
-// the maximum — the right edge of a plateau. Empty input returns -1.
-func ArgmaxLastTolerant(xs []float64, relTol float64) int {
-	m, idx := Max(xs)
-	if idx < 0 {
-		return -1
-	}
-	if m <= 0 {
-		return idx
-	}
-	thresh := m * (1 - relTol)
-	last := idx
-	for i, x := range xs {
-		if x >= thresh {
-			last = i
-		}
-	}
-	return last
 }
 
 // SlopeBetween returns the per-step slope of ys between indices i and j,
@@ -272,16 +203,4 @@ func Clamp(v, lo, hi float64) float64 {
 		return hi
 	}
 	return v
-}
-
-// Lerp linearly interpolates between a and b by t in [0,1].
-func Lerp(a, b, t float64) float64 { return a + (b-a)*t }
-
-// AbsRelErr returns |actual−predicted|/|actual| (the per-point MAPE term),
-// or 0 when actual is zero.
-func AbsRelErr(actual, predicted float64) float64 {
-	if actual == 0 {
-		return 0
-	}
-	return math.Abs(actual-predicted) / math.Abs(actual)
 }

@@ -104,6 +104,8 @@ scheduling:
 }
 
 // Each is Map without results.
+//
+//memlint:allow unreachable — TestEach
 func Each[T any](items []T, workers int, fn func(T) error) error {
 	_, err := Map(items, workers, func(t T) (struct{}, error) {
 		return struct{}{}, fn(t)

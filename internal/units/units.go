@@ -21,9 +21,6 @@ const BytesPerGB = 1e9
 // bandwidth" and is valid.
 type Bandwidth float64
 
-// GBps constructs a Bandwidth from a GB/s value.
-func GBps(v float64) Bandwidth { return Bandwidth(v) }
-
 // GBps reports the bandwidth as a plain float64 in GB/s.
 func (b Bandwidth) GBps() float64 { return float64(b) }
 
@@ -148,15 +145,6 @@ type Duration float64
 // Seconds constructs a Duration from seconds.
 func Seconds(v float64) Duration { return Duration(v) }
 
-// Seconds reports the duration in seconds.
-func (d Duration) Seconds() float64 { return float64(d) }
-
-// Valid reports whether the duration is finite and non-negative.
-func (d Duration) Valid() bool {
-	f := float64(d)
-	return !math.IsNaN(f) && !math.IsInf(f, 0) && f >= 0
-}
-
 // String renders the duration with an adaptive unit (s, ms, µs, ns).
 func (d Duration) String() string {
 	v := float64(d)
@@ -170,15 +158,6 @@ func (d Duration) String() string {
 	default:
 		return fmt.Sprintf("%.0f ns", v*1e9)
 	}
-}
-
-// TransferTime reports how long moving size bytes at bandwidth b takes.
-// A zero bandwidth yields +Inf, reported as an invalid duration by Valid.
-func TransferTime(size ByteSize, b Bandwidth) Duration {
-	if b <= 0 {
-		return Duration(math.Inf(1))
-	}
-	return Duration(float64(size) / b.BytesPerSecond())
 }
 
 // RateFor reports the bandwidth that moves size bytes in d seconds.

@@ -11,9 +11,9 @@ func TestBandwidthString(t *testing.T) {
 		in   Bandwidth
 		want string
 	}{
-		{GBps(12.1), "12.10 GB/s"},
-		{GBps(0), "0.00 GB/s"},
-		{GBps(5.018), "5.02 GB/s"},
+		{Bandwidth(12.1), "12.10 GB/s"},
+		{Bandwidth(0), "0.00 GB/s"},
+		{Bandwidth(5.018), "5.02 GB/s"},
 	}
 	for _, c := range cases {
 		if got := c.in.String(); got != c.want {
@@ -50,10 +50,10 @@ func TestParseBandwidth(t *testing.T) {
 }
 
 func TestBandwidthValid(t *testing.T) {
-	if !GBps(5).Valid() || !GBps(0).Valid() {
+	if !Bandwidth(5).Valid() || !Bandwidth(0).Valid() {
 		t.Error("finite non-negative bandwidths must be valid")
 	}
-	if GBps(-1).Valid() {
+	if Bandwidth(-1).Valid() {
 		t.Error("negative bandwidth must be invalid")
 	}
 	if Bandwidth(math.NaN()).Valid() || Bandwidth(math.Inf(1)).Valid() {
@@ -119,25 +119,14 @@ func TestParseByteSizeRoundTrip(t *testing.T) {
 	}
 }
 
-func TestTransferTime(t *testing.T) {
-	d := TransferTime(64*MiB, GBps(1))
-	want := float64(64*MiB) / 1e9
-	if math.Abs(d.Seconds()-want) > 1e-12 {
-		t.Errorf("TransferTime(64MiB, 1GB/s) = %v s, want %v s", d.Seconds(), want)
-	}
-	if TransferTime(MiB, 0).Valid() {
-		t.Error("transfer at zero bandwidth must be invalid (infinite)")
-	}
-}
-
 func TestRateForInvertsTransferTime(t *testing.T) {
 	f := func(sizeKiB uint16, tenthGBps uint8) bool {
 		if sizeKiB == 0 || tenthGBps == 0 {
 			return true
 		}
 		size := ByteSize(sizeKiB) * KiB
-		bw := GBps(float64(tenthGBps) / 10)
-		d := TransferTime(size, bw)
+		bw := Bandwidth(float64(tenthGBps) / 10)
+		d := Duration(float64(size) / bw.BytesPerSecond())
 		back := RateFor(size, d)
 		return math.Abs(back.GBps()-bw.GBps()) < 1e-9
 	}
